@@ -9,8 +9,8 @@ from repro.experiments import format_figure6, run_figure6
 from conftest import record_report
 
 
-def test_figure6_runtime(benchmark, harness, execution_config):
-    results = run_figure6(harness, repeats=2, config=execution_config)
+def test_figure6_runtime(benchmark, harness, bench_config):
+    results = run_figure6(harness, repeats=2, config=bench_config)
     record_report("Figure 6 runtime", format_figure6(results))
 
     by_name = {row["engine"]: row for row in results}

@@ -11,6 +11,7 @@ from repro.layout.design_rules import ISPD2019_RULES
 from repro.layout.generators import generate_via_layout
 from repro.litho.simulator import LithoSimulator
 from repro.opc.engine import OPCConfig, OPCEngine
+from repro.pipeline import ExecutionConfig
 
 from conftest import record_report
 
@@ -35,7 +36,9 @@ def test_incremental_opc_resimulation(benchmark):
             density_scale=1.5,
         )
         config = OPCConfig(
-            iterations=iterations, freeze_after=2, incremental=incremental
+            iterations=iterations,
+            freeze_after=2,
+            execution=ExecutionConfig(incremental=incremental),
         )
         start = time.perf_counter()
         result = OPCEngine(simulator, config).correct(layout)

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 
 import numpy as np
 
@@ -142,9 +141,9 @@ def _interleaved_best(runs: dict, rounds: int = 5) -> dict:
     return {key: max(value, 1e-9) for key, value in best.items()}
 
 
-def test_pipeline_throughput(benchmark, harness, execution_config):
-    num_workers = execution_config.num_workers
-    compile_inference = execution_config.compile
+def test_pipeline_throughput(benchmark, harness, bench_config):
+    num_workers = bench_config.resolve().num_workers
+    compile_inference = bench_config.compile
     profile = harness.profile
     size = profile.low_res_size
     rng = np.random.default_rng(7)
@@ -180,18 +179,7 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     serial.predict(masks)        # warm-up (weights, FFT plans, window views)
     fused_serial.predict(masks)  # warm-up (BN folds, pad-once buffer cache)
 
-    # Config-vs-kwarg parity (the satellite pinning the refactor): routing
-    # the same knobs through ExecutionConfig must leave the measured outputs
-    # bit-identical to the deprecated per-knob keyword path.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        kwarg_serial = harness.model_pipeline(model, num_workers=0)
-    kwarg_outputs = kwarg_serial.predict(masks, batch_size=profile.batch_size)
-
     reference_outputs = serial.predict(masks, batch_size=profile.batch_size)
-    assert np.array_equal(kwarg_outputs, reference_outputs), (
-        "ExecutionConfig-routed pipeline diverged from the legacy kwarg path"
-    )
     fused_outputs = fused_serial.predict(masks, batch_size=profile.batch_size)
     fused_max_err = float(np.abs(fused_outputs - reference_outputs).max())
     assert fused_max_err <= _FUSED_EQUIVALENCE_ATOL, (
@@ -227,7 +215,7 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
             if workers <= 1
             else harness.model_pipeline(
                 model,
-                config=execution_config.merged(num_workers=workers, streaming=True),
+                config=bench_config.merged(num_workers=workers, streaming=True),
             )
         )
         if workers > 1:
@@ -319,10 +307,10 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     # Both transports are pinned explicitly so a fleet-wide REPRO_STREAMING
     # override cannot turn the A/B comparison into ring-vs-ring (or fail it).
     ring_pipe = harness.model_pipeline(
-        model, config=execution_config.merged(num_workers=stream_workers, streaming=True)
+        model, config=bench_config.merged(num_workers=stream_workers, streaming=True)
     )
     percall_pipe = harness.model_pipeline(
-        model, config=execution_config.merged(num_workers=stream_workers, streaming=False)
+        model, config=bench_config.merged(num_workers=stream_workers, streaming=False)
     )
     assert ring_pipe.streaming and not percall_pipe.streaming
     for pipe, transport in ((ring_pipe, "ring"), (percall_pipe, "per-call")):
@@ -358,13 +346,12 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     # must be nearly free.  supervised=False retains the pre-supervision
     # blind pool.map dispatch as the baseline.
     supervised_pipe = harness.model_pipeline(
-        model, config=execution_config.merged(num_workers=stream_workers, streaming=True)
+        model, config=bench_config.merged(num_workers=stream_workers, streaming=True)
     )
     blind_pipe = InferencePipeline(
         WorkerPoolExecutor(
             ModelExecutor(model, compile=compile_inference),
-            num_workers=stream_workers,
-            streaming=True,
+            config=ExecutionConfig(num_workers=stream_workers, streaming=True),
             supervised=False,
         ),
         config=ExecutionConfig(batch_size=profile.batch_size),

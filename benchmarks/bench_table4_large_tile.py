@@ -10,8 +10,8 @@ from repro.experiments import format_table4, run_table4
 from conftest import record_report
 
 
-def test_table4_large_tile(benchmark, harness, execution_config):
-    result = run_table4(harness, config=execution_config)
+def test_table4_large_tile(benchmark, harness, bench_config):
+    result = run_table4(harness, config=bench_config)
     record_report("Table 4 large tile", format_table4(result))
 
     # Both pipelines must track the golden contours on tiles larger than the

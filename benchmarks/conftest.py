@@ -12,7 +12,7 @@ import pytest
 
 from repro import knobs
 from repro.experiments import Harness, artifacts_dir, get_profile
-from repro.pipeline import ExecutionConfig, resolve_num_workers
+from repro.pipeline import ExecutionConfig
 
 REPORTS: list[tuple[str, str]] = []
 
@@ -41,34 +41,24 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def execution_config(request) -> ExecutionConfig:
+def bench_config(request) -> ExecutionConfig:
     """One execution document built from the run's CLI flags.
 
     Every benchmark derives its pipeline configuration from this single
     fixture instead of threading separate per-knob fixtures around.  Only
     the CLI-backed knobs are set; everything else stays ``None`` so each
     consumer's own defaults (harness profile batch size, ``REPRO_*``
-    registry, then the built-in defaults) still apply.
+    registry, then the built-in defaults) still apply.  An unset
+    ``--num-workers`` stays ``None`` too, so ``ExecutionConfig.resolve()``
+    applies ``REPRO_NUM_WORKERS``.
     """
     compile_flag = request.config.getoption("--compile")
     if compile_flag is None:
         compile_flag = bool(knobs.read_flag("REPRO_COMPILE"))
     return ExecutionConfig(
-        num_workers=resolve_num_workers(request.config.getoption("--num-workers")),
+        num_workers=request.config.getoption("--num-workers"),
         compile=bool(compile_flag),
     )
-
-
-@pytest.fixture(scope="session")
-def num_workers(execution_config) -> int:
-    """Resolved worker count for the benchmark run (0 = serial)."""
-    return execution_config.num_workers
-
-
-@pytest.fixture(scope="session")
-def compile_inference(execution_config) -> bool:
-    """Whether model pipelines in this run should use compiled fused graphs."""
-    return execution_config.compile
 
 
 def record_report(title: str, text: str) -> None:

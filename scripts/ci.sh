@@ -15,6 +15,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Every pytest stage escalates DeprecationWarning to an error: the tree keeps
+# no deprecated call path, and a new one fails the build instead of warning.
+PYTEST=(python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning")
+
 # The whole run must leave /dev/shm clean: every pipeline segment is named
 # repro_<pid>_<token> and owned by the registry in repro.pipeline.streaming.
 # A segment whose owning pid is still alive belongs to a concurrent run (a
@@ -55,7 +59,7 @@ python -m repro.analysis src benchmarks examples scripts
 # except the fusion, streaming/parallel, incremental/caching and supervision
 # files first, then each suite as its own visibly-labelled gate.
 echo "== tier-1 tests =="
-python -m pytest -x -q -p no:cacheprovider tests \
+"${PYTEST[@]}" tests \
     --ignore=tests/nn/test_fusion.py --ignore=tests/pipeline/test_compiled_pipeline.py \
     --ignore=tests/pipeline/test_parallel.py --ignore=tests/pipeline/test_streaming.py \
     --ignore=tests/pipeline/test_cache.py --ignore=tests/opc/test_incremental.py \
@@ -63,14 +67,12 @@ python -m pytest -x -q -p no:cacheprovider tests \
     --ignore=tests/pipeline/test_config.py "$@"
 
 # The execution-config contract (docs/architecture.md): one resolved
-# ExecutionConfig document with explicit > REPRO_* > default precedence and
-# per-field provenance, JSON-round-tripping ExecutionPlans that match the
-# executed stats, deprecation warnings on every legacy kwarg shim, and the
-# config route bit-identical to the kwarg route across the zoo.
-echo "== execution-config suite (config == kwargs, plans == stats, shims warn) =="
-python -m pytest -x -q -p no:cacheprovider \
-    -W "error::DeprecationWarning" \
-    tests/pipeline/test_config.py "$@"
+# ExecutionConfig document, the only resolver of the execution knobs, with
+# explicit > REPRO_* > default precedence, per-field provenance, junk
+# environment values rejected by name, and JSON-round-tripping
+# ExecutionPlans that match the executed stats.
+echo "== execution-config suite (one resolver, provenance, plans == stats) =="
+"${PYTEST[@]}" tests/pipeline/test_config.py "$@"
 
 # -W error::FusionFallbackWarning: a fallback silently re-appearing anywhere
 # in the zoo (e.g. a transposed-conv declaration rotting back to unfused)
@@ -78,7 +80,7 @@ python -m pytest -x -q -p no:cacheprovider \
 # the fallback machinery on purpose catch the warning with pytest.warns,
 # which scopes its own filter, so they still pass under the global error.
 echo "== fusion equivalence suite (compiled == unfused for the whole zoo, no fallbacks) =="
-python -m pytest -x -q -p no:cacheprovider \
+"${PYTEST[@]}" \
     -W "error::repro.nn.fusion.FusionFallbackWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py "$@"
 
@@ -89,29 +91,29 @@ python -m pytest -x -q -p no:cacheprovider \
 # pinned comparison stay deterministic.  Both legs keep the fallback
 # warning escalated: no lane may reintroduce a silent unfused fallback.
 echo "== compute-backend matrix: per-lane pipeline suite (float64 env) =="
-python -m pytest -x -q -p no:cacheprovider \
+"${PYTEST[@]}" \
     -W "error::repro.nn.fusion.FusionFallbackWarning" \
     tests/pipeline/test_backends.py "$@"
 
 echo "== compute-backend matrix: REPRO_BACKEND=float32 over fusion + pipeline suites =="
-REPRO_BACKEND=float32 python -m pytest -x -q -p no:cacheprovider \
+REPRO_BACKEND=float32 "${PYTEST[@]}" \
     -W "error::repro.nn.fusion.FusionFallbackWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py \
     tests/pipeline/test_backends.py "$@"
 
 echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit) =="
-python -m pytest -x -q -p no:cacheprovider \
+"${PYTEST[@]}" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
 echo "== incremental OPC + result-cache suites (patched == full re-simulation, bit for bit) =="
-python -m pytest -x -q -p no:cacheprovider \
+"${PYTEST[@]}" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
 
 # The chaos gate kills, crashes and hangs workers on purpose (deterministic
 # REPRO_FAULT_PLAN injection); its own /dev/shm check right after proves the
 # supervision + registry teardown survives every fault mode without leaking.
 echo "== supervision chaos gate (fault injection: heal bit-identically or fail structured) =="
-python -m pytest -x -q -p no:cacheprovider \
+"${PYTEST[@]}" \
     tests/pipeline/test_supervision.py "$@"
 check_shm_clean "after chaos gate"
 

@@ -170,8 +170,7 @@ class ConfigSurfaceRule(Rule):
         "pipeline/harness/driver surfaces as one ExecutionConfig document, "
         "not as yet another keyword re-declared per signature.  A new knob "
         "parameter on these surfaces forks defaults and precedence again; "
-        "add a field to ExecutionConfig instead (deliberate legacy shims "
-        "carry a pragma)."
+        "add a field to ExecutionConfig instead."
     )
 
     #: Parameter names that are execution knobs — declaring any of these on
@@ -227,9 +226,7 @@ class ConfigSurfaceRule(Rule):
                     self.id, node,
                     f"public signature `{name}` re-declares execution "
                     f"knob(s) {', '.join(bad)}; accept "
-                    "`config=ExecutionConfig(...)` instead (a deliberate "
-                    "legacy shim needs a `repro: ok(CONFIG001, reason)` "
-                    "pragma)",
+                    "`config=ExecutionConfig(...)` instead",
                 )
 
 

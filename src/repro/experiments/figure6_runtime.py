@@ -14,7 +14,6 @@ is the deployment scenario the paper's throughput claim describes.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -83,7 +82,6 @@ def run_figure6(
     repeats: int = 3,
     batch_size: int | None = None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> list[dict]:
     """Measure throughput of every engine on one benchmark tile.
 
@@ -96,17 +94,8 @@ def run_figure6(
     selects the persistent shared-memory ring (default) vs the per-call
     transport for that pool — the repeated measurement loop is exactly the
     streaming workload the ring accelerates; ``retry`` sets the pool's
-    supervision policy (deadline / retries / degradation).  Per-knob keyword
-    arguments are deprecated.
+    supervision policy (deadline / retries / degradation).
     """
-    if legacy:
-        warnings.warn(
-            f"run_figure6({', '.join(sorted(legacy))}=...) keyword knobs are "
-            "deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    pipeline_config = (config if config is not None else ExecutionConfig()).merged(**legacy)
     harness = harness or Harness()
     data = harness.benchmark(benchmark, "L")
     mask = data.test.masks[0, 0]
@@ -117,7 +106,7 @@ def run_figure6(
     results: list[dict] = []
     for name, label in (("unet", "UNet"), ("damo-dls", "DAMO"), ("doinn", "Ours")):
         model = create_model(name, image_size=image_size)
-        pipeline = harness.model_pipeline(model, config=pipeline_config)
+        pipeline = harness.model_pipeline(model, config=config)
         single = measure_model_throughput(
             pipeline, mask, pixel_size, name=label, repeats=repeats, batch_size=1
         )

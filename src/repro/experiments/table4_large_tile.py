@@ -9,7 +9,6 @@ degrades) and once with the half-overlapping large-tile scheme of §3.2
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ def run_table4(
     benchmark: str = "ispd2019",
     save_figure9: bool = True,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> dict:
     """Evaluate naive DOINN vs. the large-tile scheme on scaled-up tiles.
 
@@ -42,16 +40,7 @@ def run_table4(
     supervision policy (chunk deadline / retries / degradation) — long
     large-tile sweeps survive dying workers instead of losing the whole run.
     The predictions are bit-identical to the serial path in every mode.
-    Per-knob keyword arguments are deprecated.
     """
-    if legacy:
-        warnings.warn(
-            f"run_table4({', '.join(sorted(legacy))}=...) keyword knobs are "
-            "deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    pipeline_config = (config if config is not None else ExecutionConfig()).merged(**legacy)
     harness = harness or Harness()
     profile = harness.profile
 
@@ -70,7 +59,7 @@ def run_table4(
     # tile forwards batched across the whole large-tile set.
     pipeline = harness.model_pipeline(
         model,
-        config=pipeline_config.merged(
+        config=(config or ExecutionConfig()).merged(
             tile_size=bench_config.image_size,
             optical_diameter_pixels=simulator.optical_diameter_pixels,
         ),

@@ -23,11 +23,15 @@ What centralizing buys:
 * **typo detection** — reading an unregistered name raises immediately
   instead of silently returning the default forever.
 
-The resolution precedence every knob follows is unchanged (and documented
-in ``docs/configuration.md``): explicit argument > environment variable >
-built-in default.  This module owns only the environment leg; the
-``resolve_*`` functions next to each consumer keep owning precedence and
-defaults, so knob semantics stay where their subsystem is documented.
+The resolution precedence every knob follows is documented in
+``docs/configuration.md``: explicit field > environment variable > built-in
+default.  This module owns only the environment leg; precedence and
+defaults of every execution knob live in one place,
+:meth:`repro.pipeline.ExecutionConfig.resolve`.  The two knobs that are not
+config fields keep their own resolvers: ``REPRO_BACKEND``
+(:func:`repro.nn.backends.resolve_backend`, applied at the executor
+boundary) and ``REPRO_FAULT_PLAN``
+(:func:`repro.pipeline.faults.resolve_fault_plan`).
 """
 
 from __future__ import annotations
@@ -249,7 +253,8 @@ register_knob(Knob(
     doc=(
         "Worker processes the pipeline's batches are sharded across "
         "([`repro.pipeline.parallel`](../src/repro/pipeline/parallel.py)). "
-        "Values `<= 1` run in-process. Explicit `num_workers=` wins."
+        "Values `<= 1` run in-process. Explicit "
+        "`ExecutionConfig(num_workers=...)` wins."
     ),
     section="execution",
     field="num_workers",
@@ -319,9 +324,9 @@ register_knob(Knob(
         "in-process when serial and set). The pooled default prevents "
         "oversubscription: keep `num_workers x blas_threads <= physical "
         "cores` when raising it. `0` means \"do not touch the BLAS library\". "
-        "Threads through `ParallelConfig(blas_threads=...)`, "
-        "`InferencePipeline(blas_threads=...)`, `OPCConfig.blas_threads` and "
-        "the experiment drivers."
+        "The cap binds the OpenBLAS numpy links (under `numpy.libs`), not "
+        "another copy mapped into the process. Explicit "
+        "`ExecutionConfig(blas_threads=...)` wins."
     ),
     section="backends",
     field="blas_threads",

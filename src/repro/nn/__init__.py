@@ -17,7 +17,6 @@ from .backends import (
     get_backend,
     register_backend,
     resolve_backend,
-    resolve_blas_threads,
     set_blas_threads,
 )
 from .fusion import (
@@ -65,7 +64,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "resolve_blas_threads",
     "set_blas_threads",
     "CompiledChain",
     "FusedChain",

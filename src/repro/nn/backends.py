@@ -34,10 +34,12 @@ only engages on the compiled fused path (``compile=True`` pipelines /
 executors); ``compile_model`` itself never consults the environment, so
 the fusion equivalence suites stay deterministic under any env.
 
-BLAS thread capping: ``REPRO_BLAS_THREADS`` / the ``blas_threads`` knob on
-:class:`repro.pipeline.parallel.ParallelConfig` caps the BLAS pool via a
-ctypes shim (no ``threadpoolctl`` dependency), so ``workers x BLAS
-threads`` does not oversubscribe the machine.  Defaults: 1 thread per
+BLAS thread capping: ``REPRO_BLAS_THREADS`` / ``ExecutionConfig.blas_threads``
+caps the BLAS pool via a ctypes shim (no ``threadpoolctl`` dependency), so
+``workers x BLAS threads`` does not oversubscribe the machine.  The shim
+binds the OpenBLAS numpy itself links (under ``numpy.libs``); other copies
+mapped into the process, such as scipy's, are only a fallback.  Defaults
+(resolved by :meth:`repro.pipeline.ExecutionConfig.resolve`): 1 thread per
 pooled worker, leave-the-library-alone when serial.  Knob catalogue:
 ``docs/configuration.md``.
 """
@@ -48,6 +50,7 @@ import ctypes
 import functools
 import glob
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +75,6 @@ __all__ = [
     "get_blas_threads",
     "register_backend",
     "resolve_backend",
-    "resolve_blas_threads",
     "set_blas_threads",
 ]
 
@@ -207,26 +209,27 @@ _GET_SYMBOLS = (
 )
 
 
-def _openblas_paths() -> list[str]:
-    """Candidate OpenBLAS shared-object paths: mapped libs, then numpy.libs."""
-    paths: list[str] = []
+def _openblas_paths() -> Iterator[str]:
+    """Candidate OpenBLAS shared-object paths, numpy's own library first.
+
+    A process can map several OpenBLAS copies: scipy ships its own under
+    ``scipy.libs`` and maps it first once :mod:`repro.litho` imports scipy.
+    Capping that copy leaves numpy's GEMMs on their full thread pool, so the
+    library under ``numpy.libs`` comes first; other mapped copies follow
+    only as a fallback for builds that link a system OpenBLAS.  Lazy, so
+    the usual case never scans ``/proc/self/maps``.
+    """
+    numpy_libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(numpy_libs, "*openblas*"))):
+        yield os.path.realpath(path)
     try:
         with open("/proc/self/maps", "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
-                path = line.rstrip("\n").partition("/")[2]
-                if not path:
-                    continue
-                path = "/" + path
-                base = os.path.basename(path).lower()
-                if "openblas" in base and path not in paths:
-                    paths.append(path)
+                path = "/" + line.rstrip("\n").partition("/")[2]
+                if "openblas" in os.path.basename(path).lower():
+                    yield path
     except OSError:  # pragma: no cover - /proc-less platforms
         pass
-    if not paths:
-        libs_dir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
-            paths.append(os.path.abspath(path))
-    return paths
 
 
 @functools.lru_cache(maxsize=1)
@@ -283,24 +286,6 @@ def get_blas_threads() -> int | None:
     fn.argtypes = []
     fn.restype = ctypes.c_int
     return int(fn())
-
-
-def resolve_blas_threads(blas_threads: int | None = None, num_workers: int = 0) -> int:
-    """Resolve the BLAS thread cap: explicit > ``REPRO_BLAS_THREADS`` > default.
-
-    The default is 1 when running under a worker pool (``num_workers > 1``)
-    so ``workers x BLAS threads`` never oversubscribes, and 0 (meaning
-    "leave the library alone") when serial.  Returns the resolved cap; 0
-    disables capping.
-    """
-    if blas_threads is not None:
-        if blas_threads < 0:
-            raise ValueError(f"blas_threads must be >= 0, got {blas_threads}")
-        return int(blas_threads)
-    value = knobs.read_int(BLAS_THREADS_ENV, minimum=0)
-    if value is not None:
-        return value
-    return 1 if num_workers > 1 else 0
 
 
 # --------------------------------------------------------------------------

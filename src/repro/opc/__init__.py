@@ -1,12 +1,10 @@
 """Edge-based OPC engine, SRAF insertion and EPE metrics."""
 
 from .engine import (
-    INCREMENTAL_ENV,
     MaskHistory,
     OPCConfig,
     OPCEngine,
     OPCResult,
-    resolve_incremental,
     rule_based_retarget,
 )
 from .epe import EPEStatistics, measure_fragment_epe, measure_layout_epe
@@ -21,12 +19,10 @@ from .fragments import (
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
-    "INCREMENTAL_ENV",
     "MaskHistory",
     "OPCConfig",
     "OPCEngine",
     "OPCResult",
-    "resolve_incremental",
     "rule_based_retarget",
     "EPEStatistics",
     "measure_fragment_epe",

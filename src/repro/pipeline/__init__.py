@@ -10,8 +10,8 @@ resolves exactly once (explicit field > ``REPRO_*`` env > default, with
 per-field provenance and structured :class:`ConfigError`\\ s), and
 ``pipeline.plan(masks)`` returns the serializable :class:`ExecutionPlan`
 that ``execute`` carries out — see ``docs/architecture.md`` for the
-config -> plan -> execute flow.  The per-knob keyword arguments still
-accepted by :class:`InferencePipeline` are a deprecated shim.
+config -> plan -> execute flow.  ``ExecutionConfig.resolve()`` is the only
+resolver of these knobs.
 
 Throughput knobs (all fields of :class:`ExecutionConfig`, honoured by every
 driver that builds a pipeline — evaluation, OPC, experiment harnesses,
@@ -24,7 +24,7 @@ benchmarks):
     Worker processes the executor's batches are sharded across
     (:mod:`repro.pipeline.parallel`); 0/1 runs serial in-process.  The
     environment variable parallelizes a whole fleet without touching call
-    sites; an explicit argument always wins.
+    sites; an explicit field always wins.
 ``streaming`` / ``REPRO_STREAMING``
     Keep the worker pool's shared-memory segments alive across pipeline calls
     in a persistent, generation-tagged ring (:mod:`repro.pipeline.streaming`)
@@ -81,9 +81,14 @@ from .cache import (
     choose_patch_tile,
     hash_array,
     ownership_slices,
-    resolve_cache_budget,
 )
-from .config import ConfigError, ExecutionConfig, ExecutionPlan
+from .config import (
+    INCREMENTAL_ENV,
+    NUM_WORKERS_ENV,
+    ConfigError,
+    ExecutionConfig,
+    ExecutionPlan,
+)
 from .engine import InferencePipeline, PipelineResult, PipelineStats
 from .executors import Executor, ModelExecutor, SimulatorExecutor, as_executor
 from .faults import (
@@ -93,19 +98,12 @@ from .faults import (
     InjectedFault,
     resolve_fault_plan,
 )
-from .parallel import (
-    NUM_WORKERS_ENV,
-    ParallelConfig,
-    WorkerPoolError,
-    WorkerPoolExecutor,
-    resolve_num_workers,
-)
+from .parallel import WorkerPoolError, WorkerPoolExecutor
 from .streaming import (
     SEGMENT_PREFIX,
     STREAMING_ENV,
     SegmentRing,
     live_segment_names,
-    resolve_streaming,
 )
 from .supervision import (
     DEGRADE_ENV,
@@ -116,13 +114,13 @@ from .supervision import (
     RetryPolicy,
     RobustnessCounters,
     SupervisedPool,
-    resolve_retry_policy,
 )
 
 __all__ = [
     "ConfigError",
     "ExecutionConfig",
     "ExecutionPlan",
+    "INCREMENTAL_ENV",
     "InferencePipeline",
     "PipelineResult",
     "PipelineStats",
@@ -134,7 +132,6 @@ __all__ = [
     "choose_patch_tile",
     "hash_array",
     "ownership_slices",
-    "resolve_cache_budget",
     "Executor",
     "ModelExecutor",
     "SimulatorExecutor",
@@ -145,15 +142,12 @@ __all__ = [
     "InjectedFault",
     "resolve_fault_plan",
     "NUM_WORKERS_ENV",
-    "ParallelConfig",
     "WorkerPoolError",
     "WorkerPoolExecutor",
-    "resolve_num_workers",
     "SEGMENT_PREFIX",
     "STREAMING_ENV",
     "SegmentRing",
     "live_segment_names",
-    "resolve_streaming",
     "DEGRADE_ENV",
     "WORKER_RETRIES_ENV",
     "WORKER_TIMEOUT_ENV",
@@ -162,5 +156,4 @@ __all__ = [
     "RetryPolicy",
     "RobustnessCounters",
     "SupervisedPool",
-    "resolve_retry_policy",
 ]

@@ -12,8 +12,8 @@ area instead of the mask area:
   Exact repeats — dataset rebuilds, convergence re-checks, the final
   ``build_mask`` after an OPC loop, the Figure 8 golden snapshot sims — are
   answered from the cache without touching the executor.  Off by default;
-  enable per pipeline (``result_cache=True`` / a byte budget) or fleet-wide
-  with ``REPRO_RESULT_CACHE``.
+  enable per pipeline (``ExecutionConfig(result_cache=True)`` / a byte
+  budget) or fleet-wide with ``REPRO_RESULT_CACHE``.
 * :class:`IncrementalState` — the dirty-tile ledger of the patched
   re-simulation plan (:meth:`~repro.pipeline.InferencePipeline.predict_patched`).
   The mask is viewed through the half-overlapping :class:`~repro.layout.tiling.TileSpec`
@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import knobs
 from ..layout.tiling import TileSpec
 
 __all__ = [
@@ -73,43 +72,14 @@ __all__ = [
     "choose_patch_tile",
     "hash_array",
     "ownership_slices",
-    "resolve_cache_budget",
 ]
 
-#: Environment variable consulted when no explicit ``result_cache`` argument
-#: is given: off / on / an integer byte budget.
+#: Environment leg of ``ExecutionConfig.result_cache``: off / on / an integer
+#: byte budget (parsed in :mod:`repro.pipeline.config`).
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
 
 #: Byte budget used when the cache is enabled without an explicit size.
 DEFAULT_CACHE_BUDGET_BYTES = 256 * 1024 * 1024
-
-def resolve_cache_budget(result_cache: bool | int | None = None) -> int:
-    """Resolve the result-cache knob to a byte budget (0 = disabled).
-
-    Explicit argument > ``REPRO_RESULT_CACHE`` > off.  ``True`` (or a truthy
-    flag value in the environment) selects :data:`DEFAULT_CACHE_BUDGET_BYTES`;
-    an integer is taken as the budget in bytes.
-    """
-    if result_cache is not None:
-        if result_cache is True:
-            return DEFAULT_CACHE_BUDGET_BYTES
-        if result_cache is False:
-            return 0
-        budget = int(result_cache)
-        return max(budget, 0)
-    raw = knobs.get_raw(RESULT_CACHE_ENV) or ""
-    try:
-        flag = knobs.parse_bool(raw, name=RESULT_CACHE_ENV)
-    except knobs.KnobError:
-        try:
-            return max(int(raw.strip()), 0)
-        except ValueError:
-            raise knobs.KnobError(
-                f"{RESULT_CACHE_ENV}={raw.strip().lower()!r} is not a boolean flag or byte budget"
-            ) from None
-    if flag is None or flag is False:
-        return 0
-    return DEFAULT_CACHE_BUDGET_BYTES
 
 
 def hash_array(array: np.ndarray) -> bytes:

@@ -11,9 +11,9 @@ subtly different defaults.  This module is the consolidation:
   :mod:`repro.knobs` > built-in default) exactly once and records where each
   value came from, so :meth:`ExecutionConfig.validate` can raise structured
   :class:`ConfigError`\\ s naming the field *and* the source.  Resolution is
-  idempotent: re-resolving a resolved config is a no-op, and the resolved
-  values survive a second pass through the per-subsystem ``resolve_*``
-  helpers unchanged (the worker pool re-checks its policy at dispatch).
+  idempotent: re-resolving a resolved config is a no-op.  It is also the
+  only resolver of these knobs: the pipeline, the worker pool and the OPC
+  engine read the resolved fields and never consult the environment again.
 * :meth:`ExecutionConfig.to_dict` / :meth:`ExecutionConfig.from_dict` —
   JSON-safe round-trips, the request-admission contract of the future async
   serving front end (config doc in).
@@ -41,8 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 from .. import knobs
 from ..nn.backends import BLAS_THREADS_ENV, ComputeBackend, available_backends
-from .cache import RESULT_CACHE_ENV, resolve_cache_budget
-from .parallel import NUM_WORKERS_ENV, ParallelConfig
+from .cache import DEFAULT_CACHE_BUDGET_BYTES, RESULT_CACHE_ENV
 from .streaming import STREAMING_ENV
 from .supervision import (
     DEFAULT_MAX_RETRIES,
@@ -52,12 +51,39 @@ from .supervision import (
     WORKER_TIMEOUT_ENV,
 )
 
-__all__ = ["ConfigError", "ExecutionConfig", "ExecutionPlan", "INCREMENTAL_ENV"]
+__all__ = [
+    "ConfigError",
+    "ExecutionConfig",
+    "ExecutionPlan",
+    "INCREMENTAL_ENV",
+    "NUM_WORKERS_ENV",
+]
 
-#: Environment leg of ``ExecutionConfig.incremental`` (also consulted by
-#: :func:`repro.opc.engine.resolve_incremental`; declared here as well so the
-#: config module does not import :mod:`repro.opc`, which imports us).
+#: Environment leg of ``ExecutionConfig.num_workers``.
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
+
+#: Environment leg of ``ExecutionConfig.incremental`` (OPC re-simulation).
 INCREMENTAL_ENV = "REPRO_INCREMENTAL_OPC"
+
+
+def _env_cache_budget() -> int | None:
+    """``REPRO_RESULT_CACHE`` as a byte budget; ``None`` when unset or empty.
+
+    The variable takes a boolean flag (on = the default budget, off = 0) or
+    a non-negative byte count; anything else raises :class:`knobs.KnobError`.
+    """
+    raw = knobs.read_string(RESULT_CACHE_ENV)
+    if raw is None:
+        return None
+    try:
+        flag = knobs.parse_bool(raw, name=RESULT_CACHE_ENV)
+    except knobs.KnobError:
+        if raw.isdigit():
+            return int(raw)
+        raise knobs.KnobError(
+            f"{RESULT_CACHE_ENV}={raw!r} is not a boolean flag or byte budget"
+        ) from None
+    return DEFAULT_CACHE_BUDGET_BYTES if flag else 0
 
 
 class ConfigError(ValueError):
@@ -128,16 +154,14 @@ class ExecutionConfig:
     resolved: bool = False
 
     # ------------------------------------------------------------------ #
-    # Merging (the one ParallelConfig-style override pass)
+    # Merging (the one override pass)
     # ------------------------------------------------------------------ #
     def merged(self, other: "ExecutionConfig | None" = None, /, **overrides) -> "ExecutionConfig":
         """A copy where ``other``'s set fields, then ``overrides``, win.
 
-        ``None`` values never override — the same field-by-field precedence
-        the old ``if parallel is not None:`` block in
-        ``InferencePipeline.__init__`` applied by hand, now in one place.
-        Unknown override names raise :class:`ConfigError` (typo detection —
-        a ``**legacy`` shim must not silently drop a knob).
+        ``None`` values never override, field by field.  Unknown override
+        names raise :class:`ConfigError` (typo detection: a misspelt knob
+        must not be silently dropped).
         """
         changes: dict = {}
         if other is not None:
@@ -161,27 +185,6 @@ class ExecutionConfig:
         changes["resolved"] = False
         return replace(self, **changes)
 
-    @classmethod
-    def from_parallel(cls, parallel: ParallelConfig) -> "ExecutionConfig":
-        """Lift a legacy :class:`ParallelConfig` into an execution config."""
-        return cls(
-            num_workers=parallel.num_workers,
-            chunk_size=parallel.chunk_size,
-            streaming=parallel.streaming,
-            retry=parallel.retry,
-            blas_threads=parallel.blas_threads,
-        )
-
-    def parallel(self) -> ParallelConfig:
-        """The worker-pool slice of this config as a :class:`ParallelConfig`."""
-        return ParallelConfig(
-            num_workers=self.num_workers,
-            chunk_size=self.chunk_size,
-            streaming=self.streaming,
-            retry=self.retry,
-            blas_threads=self.blas_threads,
-        )
-
     # ------------------------------------------------------------------ #
     # Resolution: the one explicit > env > default pass
     # ------------------------------------------------------------------ #
@@ -197,6 +200,10 @@ class ExecutionConfig:
         """
         if self.resolved:
             return self
+        # Explicit fields are checked before anything is normalised, so a bad
+        # value fails as itself (e.g. result_cache=-5) instead of as whatever
+        # the normalisation made of it.
+        self.validate()
         values: dict = {}
         sources: dict[str, str] = {}
 
@@ -223,16 +230,12 @@ class ExecutionConfig:
         pick("num_workers", NUM_WORKERS_ENV, knobs.read_int(NUM_WORKERS_ENV, minimum=0), 0)
         pick("streaming", STREAMING_ENV, knobs.read_flag(STREAMING_ENV), True)
         pick("incremental", INCREMENTAL_ENV, knobs.read_flag(INCREMENTAL_ENV), True)
-        # result_cache resolves to the byte budget (0 = off); the env leg
-        # accepts a flag or a byte count, so reuse the cache's own parser.
-        if self.result_cache is not None:
-            values["result_cache"] = resolve_cache_budget(self.result_cache)
-            sources["result_cache"] = "explicit"
-        else:
-            values["result_cache"] = resolve_cache_budget(None)
-            sources["result_cache"] = (
-                RESULT_CACHE_ENV if knobs.read_string(RESULT_CACHE_ENV) else "default"
-            )
+        # result_cache resolves to the byte budget (0 = off).
+        pick("result_cache", RESULT_CACHE_ENV, _env_cache_budget(), 0)
+        if values["result_cache"] is True:
+            values["result_cache"] = DEFAULT_CACHE_BUDGET_BYTES
+        elif values["result_cache"] is False:
+            values["result_cache"] = 0
         pick(
             "blas_threads",
             BLAS_THREADS_ENV,
@@ -250,10 +253,9 @@ class ExecutionConfig:
     def _resolve_retry(self, sources: dict[str, str]) -> RetryPolicy:
         """Fill the retry policy's ``None`` fields from env / defaults.
 
-        ``timeout`` keeps an explicit ``0`` as ``0`` (the "deadline off even
-        when the environment sets one" sentinel) instead of folding it to
-        ``None`` — the worker pool re-resolves the policy at dispatch, and a
-        ``None`` there would let the env deadline back in.
+        ``timeout`` keeps an explicit ``0`` as ``0``: the "deadline off even
+        when the environment sets one" sentinel, which the supervised pool
+        treats like ``None`` (no deadline).
         """
         base = self.retry if self.retry is not None else RetryPolicy()
         timeout = base.timeout
@@ -334,8 +336,9 @@ class ExecutionConfig:
                 f"{self.backend!r} is not a registered compute backend; "
                 f"valid backends: {', '.join(sorted(available_backends()))}",
             )
-        if self.result_cache is not None and not isinstance(self.result_cache, (bool, int)):
-            fail("result_cache", f"must be a flag or byte budget, got {self.result_cache!r}")
+        cache = self.result_cache
+        if cache is not None and (not isinstance(cache, (bool, int)) or cache < 0):
+            fail("result_cache", f"must be a flag or a byte budget >= 0, got {cache!r}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             fail("retry", f"must be a RetryPolicy, got {self.retry!r}")
         for name in ("compile", "streaming", "shard_tiles", "incremental"):

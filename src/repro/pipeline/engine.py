@@ -81,13 +81,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
-from ..nn.backends import ComputeBackend, set_blas_threads
+from ..nn.backends import set_blas_threads
 from .cache import (
     IncrementalState,
     MaskResultCache,
@@ -96,7 +95,7 @@ from .cache import (
 )
 from .config import ExecutionConfig, ExecutionPlan
 from .executors import Executor, as_executor
-from .parallel import ParallelConfig, RetryPolicy, WorkerPoolExecutor
+from .parallel import WorkerPoolExecutor
 
 __all__ = ["InferencePipeline", "PipelineResult", "PipelineStats"]
 
@@ -151,143 +150,43 @@ class InferencePipeline:
         :class:`~repro.litho.simulator.LithoSimulator`, or a prebuilt
         :class:`~repro.pipeline.executors.Executor`.
     config:
-        An :class:`~repro.pipeline.config.ExecutionConfig` owning every
-        execution knob below.  This is the supported way to configure a
-        pipeline; the per-knob keyword arguments are a deprecated
-        compatibility shim (they build a config internally and emit a
-        :class:`DeprecationWarning`).  The resolved config — explicit field
-        > ``REPRO_*`` environment knob > default, applied exactly once —
-        is available as ``pipeline.config``.
-    tile_size:
-        Native (training) tile size of the engine.  Masks larger than this
-        trigger the §3.2 large-tile plan when the engine supports it; ``None``
-        disables tiling entirely.
-    batch_size:
-        Default number of tiles / masks per executor invocation.
-    optical_diameter_pixels:
-        Optical ambit used to size the stitching core margin (``d`` in the
-        paper; only the region further than ``d/2`` from a tile edge is
-        trusted).
-    num_workers:
-        Worker processes the executor's batches are sharded across (see
-        :mod:`repro.pipeline.parallel`).  ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable; values <= 1 run
-        in-process exactly as before.
-    chunk_size:
-        Items per worker-pool chunk; ``None`` splits each batch evenly over
-        the workers.
-    parallel:
-        A prebuilt :class:`~repro.pipeline.parallel.ParallelConfig`; explicit
-        ``num_workers``/``chunk_size``/``streaming`` arguments override its
-        fields.
-    streaming:
-        Keep the worker pool's shared-memory segments alive across pipeline
-        calls in a persistent ring (:mod:`repro.pipeline.streaming`).  ``None``
-        defers to the ``REPRO_STREAMING`` environment variable (then on);
-        ``False`` restores the per-call segment transport.  Irrelevant (and
-        ignored) for serial pipelines.
-    shard_tiles:
-        Let the stitched large-tile plan dispatch the GP tile stream in
-        ``num_workers x batch_size`` super-batches so the tiles of one mask
-        shard across all workers (with shared segments bounded at that size
-        however large the layout is).  ``None`` (default) enables it exactly
-        when the executor is pooled; ``False`` forces the
-        ``batch_size``-chunked GP loop.  Bit-identical either way.
-    compile:
-        Compile a model engine once into a fused inference graph
-        (:func:`repro.nn.compile_model`: conv->BN->activation fusion with a
-        pad-once buffer cache) and run every batch through it.  Numerically
-        equivalent to the unfused path within 1e-12 (pinned by the
-        equivalence suite) and composes with ``num_workers`` sharding.
-    result_cache:
-        Content-hash result cache in front of :meth:`run` / :meth:`predict`
-        (:class:`repro.pipeline.cache.MaskResultCache`): exact input repeats
-        are answered without touching the executor, bit-identical because
-        every executor path is partition invariant.  ``True`` enables the
-        default byte budget, an ``int`` sets the budget in bytes, ``None``
-        defers to the ``REPRO_RESULT_CACHE`` environment variable (then off).
-        Hits/misses are reported in :class:`PipelineStats` and on
-        ``pipeline.result_cache``.
-    retry:
-        Supervision policy for the pooled dispatch
-        (:class:`~repro.pipeline.supervision.RetryPolicy`): per-chunk
-        deadline, retry budget for failed chunks, and graceful in-process
-        degradation when the pool is irrecoverable.  ``None`` defers to the
-        ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` / ``REPRO_DEGRADE``
-        environment variables (then the policy defaults: no deadline, 2
-        retries, degradation on).  Retried and degraded chunks are
-        bit-identical by construction; per-run counters land on
-        :class:`PipelineStats`.  Ignored for serial pipelines.
-    backend:
-        Compute lane of the compiled fused graph (:mod:`repro.nn.backends`):
-        ``"float64"`` (default, bit-identical), ``"float32"`` (calibrated
-        tolerance, ~half the memory traffic), ``"blas"`` (stacked GEMMs for
-        threaded BLAS) or ``"fft"`` (FFT-domain large-kernel deconvs).
-        ``None`` defers to the ``REPRO_BACKEND`` environment variable (then
-        ``float64``); requires ``compile=True`` for non-default lanes and
-        only applies to model engines.
-    blas_threads:
-        BLAS thread cap (:func:`repro.nn.backends.set_blas_threads`):
-        applied inside each pool worker, or in-process when serial.  ``None``
-        defers to ``REPRO_BLAS_THREADS``, then 1-per-worker when pooled /
-        leave-the-library-alone when serial, so ``workers x BLAS threads``
-        never oversubscribes by default.
+        The :class:`~repro.pipeline.config.ExecutionConfig` owning every
+        execution knob; ``None`` means an empty one.  It is resolved once
+        here (explicit field > ``REPRO_*`` environment knob > default) and
+        kept as ``pipeline.config``.  The fields, in brief:
+
+        * ``tile_size`` — native (training) tile size; larger masks take the
+          §3.2 large-tile plan when the engine supports it, ``None``
+          disables tiling.
+        * ``batch_size`` — tiles / masks per executor invocation.
+        * ``optical_diameter_pixels`` — optical ambit sizing the stitching
+          core margin (``d`` in the paper).
+        * ``num_workers`` / ``chunk_size`` / ``streaming`` / ``retry`` —
+          the supervised worker pool (:mod:`repro.pipeline.parallel`):
+          process count, items per chunk, persistent shared-memory ring vs
+          per-call segments, and the chunk deadline / retry / degradation
+          policy.  Pooled output is bit-identical to serial.
+        * ``shard_tiles`` — dispatch the stitched plan's GP tile stream in
+          ``num_workers x batch_size`` super-batches; ``None`` enables it
+          exactly when the executor is pooled.
+        * ``compile`` / ``backend`` — run a model engine as a fused
+          inference graph (:func:`repro.nn.compile_model`, within 1e-12 of
+          the unfused path) on a compute lane (:mod:`repro.nn.backends`);
+          ``backend=None`` defers to ``REPRO_BACKEND`` at the executor.
+        * ``blas_threads`` — BLAS thread cap, applied in each pool worker or
+          in-process when serial.
+        * ``result_cache`` — content-hash result cache in front of
+          :meth:`run` / :meth:`predict`; hits and misses land on
+          :class:`PipelineStats`.
+
+        ``docs/configuration.md`` lists every field with its environment
+        knob and default.
     """
 
-    #: Legacy per-knob keyword arguments accepted (and deprecated) by
-    #: ``__init__``; each maps 1:1 onto an :class:`ExecutionConfig` field.
-    _LEGACY_KWARGS = (
-        "tile_size", "batch_size", "optical_diameter_pixels", "num_workers",
-        "chunk_size", "compile", "streaming", "shard_tiles", "result_cache",
-        "retry", "backend", "blas_threads",
-    )
-
-    # repro: ok(CONFIG001, deprecated legacy kwarg shim kept for one release; new code passes config=)
-    def __init__(
-        self,
-        engine,
-        config: ExecutionConfig | None = None,
-        *,
-        tile_size: int | None = None,
-        batch_size: int | None = None,
-        optical_diameter_pixels: int | None = None,
-        num_workers: int | None = None,
-        chunk_size: int | None = None,
-        parallel: ParallelConfig | None = None,
-        compile: bool | None = None,
-        streaming: bool | None = None,
-        shard_tiles: bool | None = None,
-        result_cache: bool | int | None = None,
-        retry: RetryPolicy | None = None,
-        backend: "str | ComputeBackend | None" = None,
-        blas_threads: int | None = None,
-    ) -> None:
-        given = locals()
-        legacy = {name: given[name] for name in self._LEGACY_KWARGS}
-        used = sorted(name for name, value in legacy.items() if value is not None)
-        if parallel is not None:
-            used.append("parallel")
-        if used:
-            warnings.warn(
-                f"InferencePipeline({', '.join(used)}=...) keyword knobs are "
-                "deprecated; pass config=ExecutionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Precedence preserved from the old hand-merged block: explicit
-            # kwargs > the prebuilt ParallelConfig's fields; a config= given
-            # alongside kwargs sits between the two.
-            base = (
-                ExecutionConfig.from_parallel(parallel)
-                if parallel is not None
-                else ExecutionConfig()
-            )
-            config = base.merged(config, **legacy)
-        elif config is None:
-            config = ExecutionConfig()
+    def __init__(self, engine, config: ExecutionConfig | None = None) -> None:
         #: The resolved execution config of this pipeline (one resolution
         #: pass: explicit field > ``REPRO_*`` knob > default).
-        self.config = config.resolve()
+        self.config = (config if config is not None else ExecutionConfig()).resolve()
         resolved = self.config
         self.executor: Executor = as_executor(
             engine, compile=bool(resolved.compile), backend=resolved.backend
@@ -295,7 +194,7 @@ class InferencePipeline:
         self.compiled = getattr(self.executor, "compiled", False)
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
-            self.executor = WorkerPoolExecutor(self.executor, config=resolved.parallel())
+            self.executor = WorkerPoolExecutor(self.executor, config=resolved)
         elif isinstance(self.executor, WorkerPoolExecutor):
             self.num_workers = self.executor.num_workers
         self.streaming = (

@@ -58,12 +58,11 @@ scale past one core:
 
 ``num_workers <= 1`` (and single-item batches) degrade to the wrapped
 executor's in-process path, so a pipeline with the knob left at zero behaves
-exactly as before.  The worker count resolves from, in order: an explicit
-``num_workers`` argument, the ``REPRO_NUM_WORKERS`` environment variable, or
-0 (serial).  The streaming knob resolves the same way from ``streaming`` /
-``REPRO_STREAMING`` / on, and the supervision knobs from ``retry`` /
-``REPRO_WORKER_TIMEOUT`` + ``REPRO_WORKER_RETRIES`` + ``REPRO_DEGRADE`` /
-their defaults (see ``docs/configuration.md`` for the full catalogue).
+exactly as before.  Every knob (workers, chunk size, streaming, supervision
+policy, BLAS threads) comes from one resolved
+:class:`~repro.pipeline.config.ExecutionConfig`; the pool reads its fields
+and never consults the environment itself (see ``docs/configuration.md``
+for the full catalogue).
 """
 
 from __future__ import annotations
@@ -78,95 +77,19 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from .. import knobs
-from ..nn.backends import resolve_blas_threads, set_blas_threads
+from ..nn.backends import set_blas_threads
+from .config import ExecutionConfig
 from .executors import Executor, as_executor
 from .faults import FaultPlan, resolve_fault_plan
-from .streaming import SegmentRing, create_segment, release_segment, resolve_streaming
-from .supervision import (
-    PoolDegradedWarning,
-    RetryPolicy,
-    RobustnessCounters,
-    SupervisedPool,
-    resolve_retry_policy,
-)
+from .streaming import SegmentRing, create_segment, release_segment
+from .supervision import PoolDegradedWarning, RobustnessCounters, SupervisedPool
 
 __all__ = [
-    "NUM_WORKERS_ENV",
-    "ParallelConfig",
     "PoolDegradedWarning",
-    "RetryPolicy",
     "RobustnessCounters",
     "WorkerPoolError",
     "WorkerPoolExecutor",
-    "resolve_num_workers",
-    "resolve_retry_policy",
 ]
-
-#: Environment variable consulted when no explicit worker count is given, so
-#: every pipeline consumer (benchmarks, experiment drivers, examples) can be
-#: parallelized without threading a flag through its call chain.
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-
-def resolve_num_workers(num_workers: int | None = None) -> int:
-    """Resolve a worker count: explicit argument > ``REPRO_NUM_WORKERS`` > 0."""
-    if num_workers is None:
-        num_workers = knobs.read_int(NUM_WORKERS_ENV, minimum=0)
-        if num_workers is None:
-            return 0
-    num_workers = int(num_workers)
-    if num_workers < 0:
-        raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-    return num_workers
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Parallel-execution knobs threaded through every pipeline consumer.
-
-    ``num_workers``: worker processes; ``None`` defers to ``REPRO_NUM_WORKERS``
-    (then 0), and values <= 1 mean serial in-process execution.
-    ``chunk_size``: items per work-queue chunk; ``None`` splits each batch
-    evenly over the workers.
-    ``streaming``: reuse shared-memory segments across pipeline calls via the
-    persistent ring; ``None`` defers to ``REPRO_STREAMING`` (then on), and
-    ``False`` restores the per-call segment transport.
-    ``retry``: supervision knobs (per-chunk deadline, retry budget, graceful
-    degradation) as a :class:`~repro.pipeline.supervision.RetryPolicy`;
-    ``None`` defers to ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` /
-    ``REPRO_DEGRADE`` (then the policy defaults).
-    ``blas_threads``: BLAS thread cap applied inside each pool worker (and to
-    the parent when serial); ``None`` defers to ``REPRO_BLAS_THREADS``, then
-    1-per-worker when pooled / leave-the-library-alone (0) when serial, so
-    ``workers x BLAS threads`` never oversubscribes by default (see
-    :mod:`repro.nn.backends` and ``docs/configuration.md``).
-    """
-
-    num_workers: int | None = None
-    chunk_size: int | None = None
-    streaming: bool | None = None
-    retry: RetryPolicy | None = None
-    blas_threads: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.blas_threads is not None and self.blas_threads < 0:
-            raise ValueError(f"blas_threads must be >= 0, got {self.blas_threads}")
-
-    def resolved_workers(self) -> int:
-        return resolve_num_workers(self.num_workers)
-
-    def resolved_streaming(self) -> bool:
-        return resolve_streaming(self.streaming)
-
-    def resolved_retry(self) -> RetryPolicy:
-        return resolve_retry_policy(self.retry)
-
-    def resolved_blas_threads(self) -> int:
-        return resolve_blas_threads(self.blas_threads, self.resolved_workers())
-
 
 class WorkerPoolError(RuntimeError):
     """Worker chunks failed terminally and degradation was off (or impossible).
@@ -303,39 +226,30 @@ class WorkerPoolExecutor(Executor):
     batch is fully sharded.  All capability flags and the stitching hooks of
     the wrapped executor are proxied, so the pipeline's planner sees no
     difference between a serial and a pooled engine.
+
+    ``config`` is resolved here unless it already is (an
+    :class:`~repro.pipeline.InferencePipeline` passes its own resolved
+    config); ``fault_plan`` and ``supervised`` are the only other options.
     """
 
     def __init__(
         self,
         engine,
-        num_workers: int | None = None,
-        chunk_size: int | None = None,
-        config: ParallelConfig | None = None,
-        streaming: bool | None = None,
-        retry: RetryPolicy | None = None,
+        config: ExecutionConfig | None = None,
+        *,
         fault_plan: "FaultPlan | str | None" = None,
         supervised: bool = True,
-        blas_threads: int | None = None,
     ) -> None:
-        if config is not None:
-            num_workers = config.num_workers if num_workers is None else num_workers
-            chunk_size = config.chunk_size if chunk_size is None else chunk_size
-            streaming = config.streaming if streaming is None else streaming
-            retry = config.retry if retry is None else retry
-            blas_threads = config.blas_threads if blas_threads is None else blas_threads
-        config = ParallelConfig(
-            num_workers=num_workers, chunk_size=chunk_size, streaming=streaming,
-            retry=retry, blas_threads=blas_threads,
-        )
+        config = (config if config is not None else ExecutionConfig()).resolve()
         inner = as_executor(engine)
         if isinstance(inner, WorkerPoolExecutor):
             raise TypeError("cannot nest WorkerPoolExecutor inside WorkerPoolExecutor")
         self.inner = inner
-        self.num_workers = config.resolved_workers()
+        self.num_workers = config.num_workers
         self.chunk_size = config.chunk_size
-        self.streaming = config.resolved_streaming()
-        self.retry = config.resolved_retry()
-        self.blas_threads = config.resolved_blas_threads()
+        self.streaming = config.streaming
+        self.retry = config.retry
+        self.blas_threads = config.blas_threads
         self.fault_plan = resolve_fault_plan(fault_plan)
         # supervised=False keeps the blind pool.map dispatch of the pre-
         # supervision pipeline alive as the bench baseline (no monitoring, no

@@ -24,8 +24,6 @@ This module provides the persistent alternative:
   ever grows), so worker processes can cache their own mapping per slot and
   remap only when the parent actually replaced the segment.  ``close()`` is
   idempotent and releases every slot.
-* :func:`resolve_streaming` — the knob resolution shared by every consumer:
-  explicit argument > ``REPRO_STREAMING`` environment variable > on.
 
 The ring is a pure transport optimization: the bytes written into the slots
 and the chunk partitioning are identical to the per-call path, so streaming
@@ -40,8 +38,6 @@ import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-from .. import knobs
-
 __all__ = [
     "SEGMENT_PREFIX",
     "STREAMING_ENV",
@@ -50,7 +46,6 @@ __all__ = [
     "create_segment",
     "live_segment_names",
     "release_segment",
-    "resolve_streaming",
 ]
 
 #: Prefix of every shared-memory segment the pipeline creates.  Keeping it
@@ -58,24 +53,9 @@ __all__ = [
 #: segments after a test run (scripts/ci.sh).
 SEGMENT_PREFIX = "repro"
 
-#: Environment variable consulted when no explicit ``streaming`` argument is
-#: given, mirroring ``REPRO_NUM_WORKERS`` for the worker count.
+#: Environment leg of ``ExecutionConfig.streaming`` (resolved in
+#: :mod:`repro.pipeline.config`).
 STREAMING_ENV = "REPRO_STREAMING"
-
-
-def resolve_streaming(streaming: bool | None = None) -> bool:
-    """Resolve the streaming knob: explicit argument > ``REPRO_STREAMING`` > on.
-
-    Streaming defaults to **on** — reusing mapped segments is bit-identical to
-    the per-call transport and strictly cheaper on repeated calls; the
-    per-call mode survives as the explicit opt-out (``streaming=False`` /
-    ``REPRO_STREAMING=0``) and as the baseline the throughput bench compares
-    against.
-    """
-    if streaming is not None:
-        return bool(streaming)
-    value = knobs.read_flag(STREAMING_ENV)
-    return True if value is None else value
 
 
 # ---------------------------------------------------------------------- #

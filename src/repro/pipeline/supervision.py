@@ -41,8 +41,6 @@ import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
 
-from .. import knobs
-
 __all__ = [
     "DEGRADE_ENV",
     "WORKER_RETRIES_ENV",
@@ -53,7 +51,6 @@ __all__ = [
     "RetryPolicy",
     "RobustnessCounters",
     "SupervisedPool",
-    "resolve_retry_policy",
 ]
 
 WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
@@ -67,9 +64,9 @@ DEFAULT_MAX_RETRIES = 2
 class RetryPolicy:
     """Supervision knobs for the pooled dispatch.
 
-    ``None`` fields defer to the environment (then to the defaults) at
-    resolution time — the same explicit-argument > env > default precedence
-    every other pipeline knob uses:
+    ``None`` fields defer to the environment (then to the defaults) when
+    :meth:`repro.pipeline.ExecutionConfig.resolve` fills them — the same
+    explicit field > env > default precedence every other knob uses:
 
     * ``timeout`` — per-chunk deadline in seconds before a worker is declared
       hung and killed.  ``None`` defers to ``REPRO_WORKER_TIMEOUT``; the
@@ -102,33 +99,6 @@ class RetryPolicy:
         if self.backoff < 0 or self.backoff_cap < 0:
             raise ValueError("backoff and backoff_cap must be >= 0")
 
-    def resolved(self) -> "RetryPolicy":
-        return resolve_retry_policy(self)
-
-
-def resolve_retry_policy(policy: RetryPolicy | None = None) -> RetryPolicy:
-    """Resolve ``None`` fields: explicit value > environment > default."""
-    base = policy if policy is not None else RetryPolicy()
-    timeout = base.timeout
-    if timeout is None:
-        timeout = knobs.read_float(WORKER_TIMEOUT_ENV)
-    if timeout is not None and timeout <= 0:
-        timeout = None  # 0 = deadline explicitly off
-    max_retries = base.max_retries
-    if max_retries is None:
-        max_retries = knobs.read_int(WORKER_RETRIES_ENV, minimum=0)
-    if max_retries is None:
-        max_retries = DEFAULT_MAX_RETRIES
-    degrade = base.degrade if base.degrade is not None else knobs.read_flag(DEGRADE_ENV)
-    if degrade is None:
-        degrade = True
-    return RetryPolicy(
-        timeout=timeout,
-        max_retries=max_retries,
-        degrade=degrade,
-        backoff=base.backoff,
-        backoff_cap=base.backoff_cap,
-    )
 
 
 @dataclass
@@ -352,6 +322,8 @@ class SupervisedPool:
     def run(self, tasks, policy: RetryPolicy, fallback=None) -> DispatchReport:
         """Dispatch ``tasks`` under ``policy``; heal, retry, degrade as needed.
 
+        ``policy`` is a resolved one (``ExecutionConfig.resolve`` filled its
+        ``None`` fields); a ``timeout`` of ``None`` or ``0`` sets no deadline.
         Returns a :class:`DispatchReport`; the caller decides whether
         ``report.failed`` (only populated when degradation is off or no
         fallback was given) is fatal.  Chunks listed in ``report.degraded``

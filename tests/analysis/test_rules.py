@@ -165,7 +165,7 @@ CONFIG001_GOOD_CONFIG = """\
 """
 
 CONFIG001_PRAGMA = """\
-    # repro: ok(CONFIG001, deprecated legacy shim kept for one release)
+    # repro: ok(CONFIG001, example point exemption)
     def build_pipeline(model, num_workers=None):
         return model
 """

@@ -18,14 +18,13 @@ from repro.layout.tiling import tile_grid
 from repro.litho import LithoSimulator
 from repro.opc import (
     FragmentTileIndex,
-    INCREMENTAL_ENV,
     OPCConfig,
     OPCEngine,
     build_mask,
     fragment_footprint,
     fragment_layout,
-    resolve_incremental,
 )
+from repro.pipeline import INCREMENTAL_ENV, ExecutionConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +48,14 @@ def assert_runs_equal(incremental, full):
         assert mine.frozen_fragments == theirs.frozen_fragments
 
 
+def opc_config(incremental: bool, **kwargs) -> OPCConfig:
+    return OPCConfig(execution=ExecutionConfig(incremental=incremental), **kwargs)
+
+
 def correct_both(simulator, layout_seed: int, **config_kwargs):
     results = []
     for incremental in (True, False):
-        engine = OPCEngine(
-            simulator, OPCConfig(incremental=incremental, **config_kwargs)
-        )
+        engine = OPCEngine(simulator, opc_config(incremental, **config_kwargs))
         results.append(engine.correct(via_layout(layout_seed)))
     return results
 
@@ -85,7 +86,7 @@ def test_incremental_matches_full_without_srafs(simulator):
 def test_incremental_single_tile_image(simulator):
     """64 px images have no valid sub-window: degenerate skip-if-unchanged."""
     for incremental in (True, False):
-        engine = OPCEngine(simulator, OPCConfig(iterations=4, incremental=incremental))
+        engine = OPCEngine(simulator, opc_config(incremental, iterations=4))
         result = engine.correct(via_layout(seed=7, size_nm=512.0))
         if incremental:
             inc = result
@@ -100,7 +101,7 @@ def test_incremental_single_tile_image(simulator):
 # --------------------------------------------------------------------- #
 def test_counters_account_for_every_iteration(simulator):
     iterations = 8
-    engine = OPCEngine(simulator, OPCConfig(iterations=iterations, incremental=True))
+    engine = OPCEngine(simulator, opc_config(True, iterations=iterations))
     result = engine.correct(via_layout(3))
     counters = result.counters
     assert (
@@ -116,9 +117,7 @@ def test_counters_account_for_every_iteration(simulator):
 def test_freezing_collapses_the_dirty_set(simulator):
     """With freeze_after, converged fragments stop dirtying their windows."""
     iterations = 16
-    engine = OPCEngine(
-        simulator, OPCConfig(iterations=iterations, incremental=True, freeze_after=2)
-    )
+    engine = OPCEngine(simulator, opc_config(True, iterations=iterations, freeze_after=2))
     result = engine.correct(via_layout(3))
     n_tiles = 9
     spent = result.counters.tile_equivalents(n_tiles)
@@ -136,15 +135,18 @@ def test_incremental_env_flag_disables(simulator, monkeypatch):
 
 
 def test_resolve_incremental_knob(monkeypatch):
+    def resolved(incremental=None):
+        return ExecutionConfig(incremental=incremental).resolve().incremental
+
     monkeypatch.delenv(INCREMENTAL_ENV, raising=False)
-    assert resolve_incremental() is True
-    assert resolve_incremental(False) is False
+    assert resolved() is True
+    assert resolved(False) is False
     monkeypatch.setenv(INCREMENTAL_ENV, "off")
-    assert resolve_incremental() is False
-    assert resolve_incremental(True) is True
+    assert resolved() is False
+    assert resolved(True) is True
     monkeypatch.setenv(INCREMENTAL_ENV, "sometimes")
     with pytest.raises(ValueError):
-        resolve_incremental()
+        resolved()
 
 
 # --------------------------------------------------------------------- #

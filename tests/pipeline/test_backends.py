@@ -24,25 +24,33 @@ CI backend matrix.  Env resolution itself is tested with monkeypatch below.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from repro.litho import LithoSimulator
 from repro.nn import compile_model
+from repro.nn import backends
 from repro.nn.backends import (
     BACKEND_ENV,
     BLAS_THREADS_ENV,
     available_backends,
     get_backend,
+    get_blas_threads,
     resolve_backend,
-    resolve_blas_threads,
+    set_blas_threads,
 )
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
+    WorkerPoolExecutor,
     as_executor,
 )
+from repro.pipeline.executors import Executor
 
 LANES = ["float64", "float32", "blas", "fft"]
 
@@ -98,10 +106,10 @@ def test_resolve_backend_precedence(monkeypatch):
 
 def test_pipeline_resolves_backend_from_env(model, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "float32")
-    pipeline = InferencePipeline(model, compile=True)
+    pipeline = InferencePipeline(model, config=ExecutionConfig(compile=True))
     assert pipeline.backend is not None and pipeline.backend.name == "float32"
     # Explicit argument wins over the environment.
-    pinned = InferencePipeline(model, compile=True, backend="fft")
+    pinned = InferencePipeline(model, config=ExecutionConfig(compile=True, backend="fft"))
     assert pinned.backend.name == "fft"
     # Uncompiled pipelines ignore the env lane (no fused path to convert).
     assert InferencePipeline(model).backend.name == "float64"
@@ -123,7 +131,7 @@ def test_backend_requires_compiled_path(model):
     with pytest.raises(ValueError, match="compile=True"):
         ModelExecutor(model, backend="float32")
     with pytest.raises(ValueError, match="compile=True"):
-        InferencePipeline(model, backend="float32")
+        InferencePipeline(model, config=ExecutionConfig(backend="float32"))
     # The default lane is the uncompiled path's native behaviour: allowed.
     assert ModelExecutor(model, backend="float64").backend.name == "float64"
 
@@ -133,7 +141,7 @@ def test_backend_rejects_simulator_engines():
     with pytest.raises(ValueError, match="golden simulator"):
         as_executor(simulator, backend="float32")
     with pytest.raises(ValueError, match="golden simulator"):
-        InferencePipeline(simulator, backend="float32")
+        InferencePipeline(simulator, config=ExecutionConfig(backend="float32"))
 
 
 # --------------------------------------------------------------------- #
@@ -143,8 +151,14 @@ def test_backend_rejects_simulator_engines():
 def test_backend_native_plan_matches_float64(zoo_model, lane):
     name, model = zoo_model
     masks = _random_masks(4, 32)
-    reference = InferencePipeline(model, batch_size=2, compile=True, backend="float64")
-    pipeline = InferencePipeline(model, batch_size=2, compile=True, backend=lane)
+    reference = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=2, compile=True, backend="float64"),
+    )
+    pipeline = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=2, compile=True, backend=lane),
+    )
     assert pipeline.backend.name == lane
     out = pipeline.predict(masks)
     assert out.dtype == np.float64  # the executor boundary re-widens every lane
@@ -154,9 +168,9 @@ def test_backend_native_plan_matches_float64(zoo_model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_stitched_plan_matches_float64(model, lane):
     masks = _random_masks(2, 64, seed=5)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    reference = InferencePipeline(model, backend="float64", **kwargs)
-    pipeline = InferencePipeline(model, backend=lane, **kwargs)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    reference = InferencePipeline(model, config=base.merged(backend="float64"))
+    pipeline = InferencePipeline(model, config=base.merged(backend=lane))
     assert pipeline.run(masks).stats.mode == "stitched"
     _assert_lane_close(
         pipeline.predict(masks, stitch=True),
@@ -172,10 +186,14 @@ def test_backend_stitched_plan_matches_float64(model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_pooled_matches_serial(model, lane):
     masks = _random_masks(6, 32, seed=13)
-    serial = InferencePipeline(model, batch_size=2, compile=True, backend=lane)
+    serial = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=2, compile=True, backend=lane),
+    )
     reference = serial.predict(masks)
     with InferencePipeline(
-        model, batch_size=2, num_workers=2, compile=True, backend=lane
+        model,
+        config=ExecutionConfig(batch_size=2, num_workers=2, compile=True, backend=lane),
     ) as pooled:
         assert pooled.backend.name == lane
         out = pooled.predict(masks)
@@ -190,10 +208,10 @@ def test_backend_pooled_matches_serial(model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_sharded_stitched_matches_serial(model, lane):
     masks = _random_masks(2, 64, seed=9)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    serial = InferencePipeline(model, backend=lane, **kwargs)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    serial = InferencePipeline(model, config=base.merged(backend=lane))
     reference = serial.predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, backend=lane, **kwargs) as pooled:
+    with InferencePipeline(model, config=base.merged(num_workers=2, backend=lane)) as pooled:
         out = pooled.predict(masks, stitch=True)
     if lane in PARTITION_INVARIANT:
         np.testing.assert_array_equal(out, reference, err_msg=lane)
@@ -207,8 +225,10 @@ def test_backend_sharded_stitched_matches_serial(model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_patched_plan_matches_stitched(model, lane):
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8,
-        compile=True, backend=lane,
+        model,
+        config=ExecutionConfig(
+            tile_size=32, batch_size=8, optical_diameter_pixels=8, compile=True, backend=lane
+        ),
     )
     state = pipeline.incremental_state((64, 64))
     assert state.mode == "gp"
@@ -230,37 +250,96 @@ def test_backend_patched_plan_matches_stitched(model, lane):
 
 
 # --------------------------------------------------------------------- #
-# BLAS thread-cap resolution
+# BLAS thread cap (its precedence rows live in tests/pipeline/test_config.py)
 # --------------------------------------------------------------------- #
+_NUMPY_LIBS = os.path.realpath(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs"))
+_NUMPY_OPENBLAS = sorted(glob.glob(os.path.join(_NUMPY_LIBS, "*openblas*")))
+needs_numpy_openblas = pytest.mark.skipif(
+    not _NUMPY_OPENBLAS, reason="numpy does not bundle OpenBLAS under numpy.libs"
+)
+
+
+def _numpy_blas_threads() -> int:
+    """Thread count of numpy's own OpenBLAS, read without the shim."""
+    lib = ctypes.CDLL(_NUMPY_OPENBLAS[0])
+    getter = backends._find_symbol(lib, backends._GET_SYMBOLS)
+    getter.restype = ctypes.c_int
+    return int(getter())
+
+
+class _BlasThreadProbe(Executor):
+    """Reports numpy's BLAS thread count in the process that runs it."""
+
+    name = "blas-thread-probe"
+
+    def run_batch(self, batch: np.ndarray) -> np.ndarray:
+        return np.full((batch.shape[0], 1), float(_numpy_blas_threads()))
+
+
+@needs_numpy_openblas
+def test_blas_shim_binds_numpys_openblas():
+    import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS copy too
+
+    lib = backends._blas_library()
+    assert lib is not None
+    assert os.path.dirname(os.path.realpath(lib._name)) == _NUMPY_LIBS
+
+
+def _resolved_blas_threads(blas_threads=None, num_workers=0) -> int:
+    config = ExecutionConfig(num_workers=num_workers, blas_threads=blas_threads)
+    return config.resolve().blas_threads
+
+
 def test_resolve_blas_threads_precedence(monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    assert resolve_blas_threads(None, num_workers=0) == 0   # serial: hands off
-    assert resolve_blas_threads(None, num_workers=4) == 1   # pooled: 1/worker
-    assert resolve_blas_threads(2, num_workers=4) == 2      # explicit wins
+    assert _resolved_blas_threads(None, num_workers=0) == 0   # serial: hands off
+    assert _resolved_blas_threads(None, num_workers=4) == 1   # pooled: 1/worker
+    assert _resolved_blas_threads(2, num_workers=4) == 2      # explicit wins
     monkeypatch.setenv(BLAS_THREADS_ENV, "3")
-    assert resolve_blas_threads(None, num_workers=4) == 3
-    assert resolve_blas_threads(1, num_workers=4) == 1
+    assert _resolved_blas_threads(None, num_workers=4) == 3
+    assert _resolved_blas_threads(1, num_workers=4) == 1
     monkeypatch.setenv(BLAS_THREADS_ENV, "many")
     with pytest.raises(ValueError, match=BLAS_THREADS_ENV):
-        resolve_blas_threads(None, num_workers=0)
+        _resolved_blas_threads(None, num_workers=0)
 
 
 def test_parallel_config_carries_blas_threads(monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    assert ParallelConfig(num_workers=2).resolved_blas_threads() == 1
-    assert ParallelConfig(num_workers=0).resolved_blas_threads() == 0
-    assert ParallelConfig(num_workers=2, blas_threads=2).resolved_blas_threads() == 2
+    assert _resolved_blas_threads(num_workers=2) == 1
+    assert _resolved_blas_threads(num_workers=0) == 0
+    assert _resolved_blas_threads(2, num_workers=2) == 2
     with pytest.raises(ValueError, match="blas_threads"):
-        ParallelConfig(blas_threads=-1)
+        _resolved_blas_threads(-1)
+
+
+@needs_numpy_openblas
+def test_pooled_worker_reports_the_blas_cap(monkeypatch):
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    before = get_blas_threads()
+    set_blas_threads(3)
+    try:
+        assert _numpy_blas_threads() == 3  # the shim reaches numpy's library
+        for cap in (1, 2):
+            config = ExecutionConfig(num_workers=2, blas_threads=cap)
+            with WorkerPoolExecutor(_BlasThreadProbe(), config=config) as executor:
+                seen = executor.run_batch(np.zeros((5, 1, 4, 4)))
+            # Item 0 is the in-process spec probe; the rest ran in workers.
+            assert seen[0, 0] == 3  # the parent keeps its own setting
+            assert set(seen[1:, 0]) == {cap}
+    finally:
+        set_blas_threads(before)
 
 
 def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    with InferencePipeline(model, num_workers=2, compile=True, backend="blas") as pooled:
+    with InferencePipeline(
+        model,
+        config=ExecutionConfig(num_workers=2, compile=True, backend="blas"),
+    ) as pooled:
         assert pooled.executor.blas_threads == 1
         # The capped pool still computes the right answer.
         masks = _random_masks(2, 32)
-        serial = InferencePipeline(model, compile=True, backend="blas")
+        serial = InferencePipeline(model, config=ExecutionConfig(compile=True, backend="blas"))
         np.testing.assert_allclose(
             pooled.predict(masks), serial.predict(masks), rtol=0, atol=1e-12
         )

@@ -21,14 +21,14 @@ from repro.layout.tiling import extract_tiles, stitch_cores, tile_grid
 from repro.litho import LithoSimulator
 from repro.pipeline import (
     DEFAULT_CACHE_BUDGET_BYTES,
+    RESULT_CACHE_ENV,
+    ExecutionConfig,
     InferencePipeline,
     MaskResultCache,
     PipelineStats,
-    RESULT_CACHE_ENV,
     choose_patch_tile,
     hash_array,
     ownership_slices,
-    resolve_cache_budget,
 )
 
 
@@ -40,6 +40,42 @@ def simulator() -> LithoSimulator:
 def _random_mask(size: int, seed: int = 11) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.random((size, size)) > 0.8).astype(float)
+
+
+# --------------------------------------------------------------------- #
+# The REPRO_RESULT_CACHE knob, as ExecutionConfig.resolve() applies it
+# --------------------------------------------------------------------- #
+def _resolved_cache_budget(result_cache=None) -> int:
+    return ExecutionConfig(result_cache=result_cache).resolve().result_cache
+
+
+def test_resolve_cache_budget_argument_wins(monkeypatch):
+    monkeypatch.setenv(RESULT_CACHE_ENV, "on")
+    assert _resolved_cache_budget(False) == 0
+    assert _resolved_cache_budget(True) == DEFAULT_CACHE_BUDGET_BYTES
+    assert _resolved_cache_budget(12345) == 12345
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("", 0),
+        ("off", 0),
+        ("0", 0),
+        ("on", DEFAULT_CACHE_BUDGET_BYTES),
+        ("true", DEFAULT_CACHE_BUDGET_BYTES),
+        ("4096", 4096),
+    ],
+)
+def test_resolve_cache_budget_env(monkeypatch, raw, expected):
+    monkeypatch.setenv(RESULT_CACHE_ENV, raw)
+    assert _resolved_cache_budget() == expected
+
+
+def test_resolve_cache_budget_rejects_junk(monkeypatch):
+    monkeypatch.setenv(RESULT_CACHE_ENV, "sometimes")
+    with pytest.raises(ValueError):
+        _resolved_cache_budget()
 
 
 # --------------------------------------------------------------------- #
@@ -107,38 +143,6 @@ def test_hash_array_distinguishes_content_shape_dtype():
 
 
 # --------------------------------------------------------------------- #
-# The REPRO_RESULT_CACHE knob
-# --------------------------------------------------------------------- #
-def test_resolve_cache_budget_argument_wins(monkeypatch):
-    monkeypatch.setenv(RESULT_CACHE_ENV, "on")
-    assert resolve_cache_budget(False) == 0
-    assert resolve_cache_budget(True) == DEFAULT_CACHE_BUDGET_BYTES
-    assert resolve_cache_budget(12345) == 12345
-
-
-@pytest.mark.parametrize(
-    "raw, expected",
-    [
-        ("", 0),
-        ("off", 0),
-        ("0", 0),
-        ("on", DEFAULT_CACHE_BUDGET_BYTES),
-        ("true", DEFAULT_CACHE_BUDGET_BYTES),
-        ("4096", 4096),
-    ],
-)
-def test_resolve_cache_budget_env(monkeypatch, raw, expected):
-    monkeypatch.setenv(RESULT_CACHE_ENV, raw)
-    assert resolve_cache_budget(None) == expected
-
-
-def test_resolve_cache_budget_rejects_junk(monkeypatch):
-    monkeypatch.setenv(RESULT_CACHE_ENV, "sometimes")
-    with pytest.raises(ValueError):
-        resolve_cache_budget(None)
-
-
-# --------------------------------------------------------------------- #
 # Ownership regions == scan-order core stitch
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("size, tile, margin", [(64, 32, 8), (96, 32, 4), (64, 64, 8)])
@@ -171,8 +175,11 @@ def test_choose_patch_tile():
 # --------------------------------------------------------------------- #
 def test_pipeline_result_cache_repeats_bit_identical(simulator):
     masks = np.stack([_random_mask(64, seed=s) for s in (1, 2)])
-    plain = InferencePipeline(simulator, batch_size=4)
-    cached = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    plain = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
+    cached = InferencePipeline(
+        simulator,
+        config=ExecutionConfig(batch_size=4, result_cache=True),
+    )
     expected = plain.predict(masks)
 
     first = cached.run(masks)
@@ -188,8 +195,11 @@ def test_pipeline_result_cache_repeats_bit_identical(simulator):
 def test_pipeline_result_cache_mixed_batch(simulator):
     seen = _random_mask(64, seed=1)
     fresh = _random_mask(64, seed=3)
-    plain = InferencePipeline(simulator, batch_size=4)
-    cached = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    plain = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
+    cached = InferencePipeline(
+        simulator,
+        config=ExecutionConfig(batch_size=4, result_cache=True),
+    )
     cached.predict(seen)
 
     batch = np.stack([fresh, seen, fresh])  # duplicate miss + one hit
@@ -199,7 +209,7 @@ def test_pipeline_result_cache_mixed_batch(simulator):
 
 
 def test_pipeline_result_cache_disabled_by_default(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
     assert pipeline.result_cache is None
     stats = pipeline.run(_random_mask(64)).stats
     assert stats.cache_hits == 0 and stats.cache_misses == 0
@@ -210,7 +220,10 @@ def test_model_result_cache_keys_by_execution_plan(tiny_model_factory):
     model = tiny_model_factory("doinn")
     mask = _random_mask(64)
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8, result_cache=True
+        model,
+        config=ExecutionConfig(
+            tile_size=32, batch_size=8, optical_diameter_pixels=8, result_cache=True
+        ),
     )
     stitched = pipeline.predict(mask, stitch=True)
     naive = pipeline.predict_naive(mask)
@@ -224,7 +237,7 @@ def test_model_result_cache_keys_by_execution_plan(tiny_model_factory):
 # Patched aerial re-simulation (golden simulator)
 # --------------------------------------------------------------------- #
 def test_patched_simulator_matches_predict_over_perturbations(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     assert state.mode == "aerial" and state.tile_size == 64 and state.n_tiles == 9
 
@@ -255,7 +268,7 @@ def test_patched_simulator_matches_predict_over_perturbations(simulator):
 
 
 def test_patched_simulator_trusts_candidate_windows(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     mask = _random_mask(128)
     pipeline.predict_patched(mask, state)
@@ -272,7 +285,7 @@ def test_patched_simulator_trusts_candidate_windows(simulator):
 
 def test_patched_simulator_single_window_fallback(simulator):
     """Images no window divides degenerate to skip-if-unchanged, still exact."""
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((96, 96))
     assert state.n_tiles == 1
     mask = _random_mask(96)
@@ -286,14 +299,17 @@ def test_patched_simulator_single_window_fallback(simulator):
 
 
 def test_patched_rejects_wrong_shape(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     with pytest.raises(ValueError):
         pipeline.predict_patched(_random_mask(64), state)
 
 
 def test_patched_populates_result_cache(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    pipeline = InferencePipeline(
+        simulator,
+        config=ExecutionConfig(batch_size=4, result_cache=True),
+    )
     state = pipeline.incremental_state((128, 128))
     mask = _random_mask(128)
     out = pipeline.predict_patched(mask, state)
@@ -308,7 +324,8 @@ def test_patched_populates_result_cache(simulator):
 def test_patched_gp_matches_stitched_bit_for_bit(tiny_model_factory):
     model = tiny_model_factory("doinn")
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8
+        model,
+        config=ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8),
     )
     state = pipeline.incremental_state((64, 64))
     assert state.mode == "gp"
@@ -323,7 +340,10 @@ def test_patched_gp_matches_stitched_bit_for_bit(tiny_model_factory):
 
 
 def test_patched_unsupported_engine_raises(tiny_model_factory):
-    pipeline = InferencePipeline(tiny_model_factory("unet"), batch_size=8)
+    pipeline = InferencePipeline(
+        tiny_model_factory("unet"),
+        config=ExecutionConfig(batch_size=8),
+    )
     with pytest.raises(ValueError):
         pipeline.incremental_state((64, 64))
 
@@ -332,8 +352,9 @@ def test_patched_unsupported_engine_raises(tiny_model_factory):
 # Worker pool: patched plan through the num_workers x batch_size path
 # --------------------------------------------------------------------- #
 def test_patched_simulator_pooled_matches_serial(simulator):
-    serial = InferencePipeline(simulator, batch_size=4)
-    with InferencePipeline(simulator, batch_size=2, num_workers=2) as pooled:
+    serial = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
+    pooled_config = ExecutionConfig(batch_size=2, num_workers=2)
+    with InferencePipeline(simulator, config=pooled_config) as pooled:
         state = pooled.incremental_state((128, 128))
         mask = _random_mask(128)
         assert np.array_equal(pooled.predict_patched(mask, state), serial.predict(mask))
@@ -360,11 +381,17 @@ def test_result_cache_keys_by_compute_backend(tiny_model_factory):
     key was mask content alone and the first lane to run poisoned the rest."""
     model = tiny_model_factory("doinn")
     masks = np.stack([_random_mask(32, seed=s) for s in (1, 2)])
-    p64 = InferencePipeline(model, batch_size=4, compile=True, result_cache=True)
+    p64 = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=4, compile=True, result_cache=True),
+    )
     first = p64.run(masks)
     assert first.stats.cache_misses == 2
 
-    p32 = InferencePipeline(model, batch_size=4, compile=True, backend="float32")
+    p32 = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=4, compile=True, backend="float32"),
+    )
     p32.result_cache = p64.result_cache  # deliberately share the store
     crossed = p32.run(masks)
     assert crossed.stats.cache_hits == 0 and crossed.stats.cache_misses == 2
@@ -374,7 +401,7 @@ def test_result_cache_keys_by_compute_backend(tiny_model_factory):
     again = p64.run(masks)
     assert again.stats.cache_hits == 2 and again.stats.cache_misses == 0
     assert np.array_equal(again.outputs, first.outputs)
-    twin = InferencePipeline(model, batch_size=4, compile=True)
+    twin = InferencePipeline(model, config=ExecutionConfig(batch_size=4, compile=True))
     twin.result_cache = p64.result_cache
     assert twin.run(masks).stats.cache_hits == 2
 
@@ -383,8 +410,8 @@ def test_result_cache_distinguishes_simulator_from_model(simulator, tiny_model_f
     """The golden simulator's identity ("golden") differs from any model
     engine's, so a shared store keyed on the same mask never crosses them."""
     mask = _random_mask(32)
-    sim = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    sim = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4, result_cache=True))
     sim.predict(mask)
-    model = InferencePipeline(tiny_model_factory("doinn"), batch_size=4)
+    model = InferencePipeline(tiny_model_factory("doinn"), config=ExecutionConfig(batch_size=4))
     model.result_cache = sim.result_cache
     assert model.run(mask).stats.cache_hits == 0

@@ -17,6 +17,7 @@ from repro.litho import LithoSimulator
 from repro.nn import FusedInferenceGraph, compile_model
 from repro.nn.backends import resolve_backend
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
     WorkerPoolExecutor,
@@ -101,17 +102,17 @@ def test_as_executor_compile_validation(model):
 def test_pipeline_compile_knob_equivalence(zoo_model):
     name, model = zoo_model
     masks = _random_masks(4, 32)
-    plain = InferencePipeline(model, batch_size=2)
-    fused = InferencePipeline(model, batch_size=2, compile=True)
+    plain = InferencePipeline(model, config=ExecutionConfig(batch_size=2))
+    fused = InferencePipeline(model, config=ExecutionConfig(batch_size=2, compile=True))
     assert fused.compiled and not plain.compiled
     np.testing.assert_allclose(fused.predict(masks), plain.predict(masks), **TOL)
 
 
 def test_compiled_stitched_plan_matches_unfused(model):
     masks = _random_masks(2, 64, seed=5)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    plain = InferencePipeline(model, **kwargs)
-    fused = InferencePipeline(model, compile=True, **kwargs)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    plain = InferencePipeline(model, config=base)
+    fused = InferencePipeline(model, config=base.merged(compile=True))
     assert fused.run(masks).stats.mode == "stitched"
     np.testing.assert_allclose(
         fused.predict(masks, stitch=True), plain.predict(masks, stitch=True), **TOL
@@ -119,7 +120,7 @@ def test_compiled_stitched_plan_matches_unfused(model):
 
 
 def test_compiled_pipeline_reports_compiled_engine_in_stats(model):
-    pipeline = InferencePipeline(model, compile=True)
+    pipeline = InferencePipeline(model, config=ExecutionConfig(compile=True))
     result = pipeline.run(_random_masks(2, 32))
     assert result.stats.engine == "DOINN[compiled]"
 
@@ -127,7 +128,7 @@ def test_compiled_pipeline_reports_compiled_engine_in_stats(model):
 def test_pipeline_compile_rejects_simulator_engines():
     simulator = LithoSimulator(pixel_size=16.0, num_kernels=6, kernel_support=31)
     with pytest.raises(ValueError, match="golden simulator"):
-        InferencePipeline(simulator, compile=True)
+        InferencePipeline(simulator, config=ExecutionConfig(compile=True))
 
 
 # --------------------------------------------------------------------- #
@@ -151,8 +152,8 @@ def test_compiled_executor_alternating_batch_sizes(zoo_model):
 
 def test_compiled_pipeline_alternating_batch_sizes(model):
     masks = _random_masks(6, 32, seed=31)
-    plain = InferencePipeline(model, batch_size=4)
-    fused = InferencePipeline(model, batch_size=4, compile=True)
+    plain = InferencePipeline(model, config=ExecutionConfig(batch_size=4))
+    fused = InferencePipeline(model, config=ExecutionConfig(batch_size=4, compile=True))
     # Ragged splits: 6 masks at bs=4 -> shards of 4 and 2; then bs=3 -> 3+3;
     # then bs=5 -> 5+1 — all through the same compiled engine.
     for bs in (4, 3, 5, 4, 1):
@@ -170,16 +171,23 @@ def test_compiled_unet_composes_with_worker_pool(tiny_model_factory):
     bit-identical under worker-pool sharding, like every other fused op."""
     unet = tiny_model_factory("unet")
     masks = _random_masks(6, 32, seed=13)
-    reference = InferencePipeline(unet, batch_size=2, compile=True).predict(masks)
-    with InferencePipeline(unet, batch_size=2, num_workers=2, compile=True) as parallel:
+    compiled = ExecutionConfig(batch_size=2, compile=True)
+    reference = InferencePipeline(unet, config=compiled).predict(masks)
+    with InferencePipeline(
+        unet,
+        config=ExecutionConfig(batch_size=2, num_workers=2, compile=True),
+    ) as parallel:
         np.testing.assert_array_equal(parallel.predict(masks), reference)
 
 
 def test_compiled_composes_with_worker_pool(model):
     masks = _random_masks(6, 32)
-    serial = InferencePipeline(model, batch_size=4, compile=True)
+    serial = InferencePipeline(model, config=ExecutionConfig(batch_size=4, compile=True))
     reference = serial.predict(masks)
-    with InferencePipeline(model, batch_size=4, num_workers=2, compile=True) as parallel:
+    with InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=4, num_workers=2, compile=True),
+    ) as parallel:
         assert isinstance(parallel.executor, WorkerPoolExecutor)
         assert parallel.compiled and parallel.executor.compiled
         assert "[compiled]" in parallel.name and "workers=2" in parallel.name
@@ -188,9 +196,9 @@ def test_compiled_composes_with_worker_pool(model):
 
 def test_compiled_stitched_worker_pool_bit_identical(model):
     masks = _random_masks(2, 64, seed=9)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    serial = InferencePipeline(model, **kwargs)
-    with InferencePipeline(model, num_workers=2, **kwargs) as parallel:
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    serial = InferencePipeline(model, config=base)
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as parallel:
         np.testing.assert_array_equal(
             parallel.predict(masks, stitch=True), serial.predict(masks, stitch=True)
         )

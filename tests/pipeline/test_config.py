@@ -4,8 +4,9 @@ Pins the PR-10 contracts: :class:`ExecutionConfig` is the one knob document
 (explicit > ``REPRO_*`` env > default, resolved exactly once, with per-field
 provenance and structured :class:`ConfigError`\\ s), :class:`ExecutionPlan`
 round-trips through JSON and matches the executed :class:`PipelineStats`,
-and every consumer reaches the pipeline through ``config=`` with the legacy
-keyword shims warning on the way out.
+and every consumer reaches the pipeline through ``config=``.  The precedence
+and junk-rejection rows of every environment leg live here, checked through
+``ExecutionConfig().resolve()``, the one resolver of these knobs.
 """
 
 from __future__ import annotations
@@ -19,22 +20,16 @@ import pytest
 
 from repro import knobs
 from repro.core import DOINN
-from repro.evaluation.runtime import (
-    measure_model_throughput,
-    measure_simulator_throughput,
-)
 from repro.experiments import Harness
-from repro.experiments.figure6_runtime import run_figure6
-from repro.experiments.table4_large_tile import run_table4
 from repro.litho import LithoSimulator
 from repro.nn.backends import get_backend
-from repro.opc import OPCConfig
+from repro.opc import OPCConfig, OPCEngine
 from repro.pipeline import (
+    DEFAULT_CACHE_BUDGET_BYTES,
     ConfigError,
     ExecutionConfig,
     ExecutionPlan,
     InferencePipeline,
-    ParallelConfig,
     RetryPolicy,
 )
 from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
@@ -106,6 +101,13 @@ def test_resolve_is_idempotent():
         ("REPRO_INCREMENTAL_OPC", "0", "incremental", False, True, True),
         ("REPRO_RESULT_CACHE", "1024", "result_cache", 1024, 2048, 2048),
         ("REPRO_BLAS_THREADS", "5", "blas_threads", 5, 2, 2),
+        ("REPRO_STREAMING", "on", "streaming", True, False, False),
+        ("REPRO_INCREMENTAL_OPC", "off", "incremental", False, True, True),
+        ("REPRO_RESULT_CACHE", "on", "result_cache", DEFAULT_CACHE_BUDGET_BYTES, False, 0),
+        ("REPRO_RESULT_CACHE", "true", "result_cache", DEFAULT_CACHE_BUDGET_BYTES, 12345, 12345),
+        ("REPRO_RESULT_CACHE", "off", "result_cache", 0, True, DEFAULT_CACHE_BUDGET_BYTES),
+        ("REPRO_RESULT_CACHE", "0", "result_cache", 0, 4096, 4096),
+        ("REPRO_BLAS_THREADS", "3", "blas_threads", 3, 1, 1),
     ],
 )
 def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, explicit, explicit_value):
@@ -125,6 +127,8 @@ def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, exp
         ("REPRO_WORKER_TIMEOUT", "7.5", "timeout", 7.5, RetryPolicy(timeout=3.0), 3.0),
         ("REPRO_WORKER_RETRIES", "5", "max_retries", 5, RetryPolicy(max_retries=1), 1),
         ("REPRO_DEGRADE", "0", "degrade", False, RetryPolicy(degrade=True), True),
+        ("REPRO_DEGRADE", "off", "degrade", False, RetryPolicy(degrade=True, max_retries=1), True),
+        ("REPRO_WORKER_RETRIES", "0", "max_retries", 0, RetryPolicy(max_retries=3), 3),
     ],
 )
 def test_retry_env_vs_explicit_precedence(monkeypatch, env, raw, attr, env_value, explicit_retry, explicit_value):
@@ -138,6 +142,46 @@ def test_retry_env_vs_explicit_precedence(monkeypatch, env, raw, attr, env_value
     assert forced.source_of(f"retry.{attr}") == "explicit"
 
 
+@pytest.mark.parametrize(
+    ("env", "field"),
+    [
+        ("REPRO_NUM_WORKERS", "num_workers"),
+        ("REPRO_STREAMING", "streaming"),
+        ("REPRO_INCREMENTAL_OPC", "incremental"),
+        ("REPRO_RESULT_CACHE", "result_cache"),
+        ("REPRO_BLAS_THREADS", "blas_threads"),
+        ("REPRO_WORKER_TIMEOUT", "retry.timeout"),
+        ("REPRO_WORKER_RETRIES", "retry.max_retries"),
+        ("REPRO_DEGRADE", "retry.degrade"),
+    ],
+)
+def test_empty_env_means_default(monkeypatch, env, field):
+    monkeypatch.setenv(env, "  ")
+    assert ExecutionConfig().resolve().source_of(field) == "default"
+
+
+@pytest.mark.parametrize(
+    ("env", "raw"),
+    [
+        ("REPRO_NUM_WORKERS", "-1"),
+        ("REPRO_NUM_WORKERS", "not-a-number"),
+        ("REPRO_STREAMING", "sideways"),
+        ("REPRO_INCREMENTAL_OPC", "sometimes"),
+        ("REPRO_RESULT_CACHE", "sometimes"),
+        ("REPRO_RESULT_CACHE", "-5"),
+        ("REPRO_BLAS_THREADS", "many"),
+        ("REPRO_BLAS_THREADS", "-1"),
+        ("REPRO_WORKER_TIMEOUT", "soon"),
+        ("REPRO_WORKER_RETRIES", "-2"),
+        ("REPRO_DEGRADE", "sideways"),
+    ],
+)
+def test_env_junk_is_rejected(monkeypatch, env, raw):
+    monkeypatch.setenv(env, raw)
+    with pytest.raises(ValueError, match=env):
+        ExecutionConfig().resolve()
+
+
 def test_retry_timeout_zero_sentinel_survives_env(monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "9")
     cfg = ExecutionConfig(retry=RetryPolicy(timeout=0)).resolve()
@@ -145,9 +189,11 @@ def test_retry_timeout_zero_sentinel_survives_env(monkeypatch):
     assert cfg.source_of("retry.timeout") == "explicit"
 
 
-def test_blas_default_tracks_workers():
+def test_blas_default_tracks_workers(monkeypatch):
     assert ExecutionConfig(num_workers=2).resolve().blas_threads == 1
     assert ExecutionConfig(num_workers=0).resolve().blas_threads == 0
+    monkeypatch.setenv("REPRO_NUM_WORKERS", "4")
+    assert ExecutionConfig().resolve().blas_threads == 1  # pooled through the env
 
 
 def test_sources_empty_before_resolution():
@@ -159,7 +205,7 @@ def test_sources_empty_before_resolution():
 
 
 # --------------------------------------------------------------------- #
-# Merging (satellite 2: the one ParallelConfig-style override pass)
+# Merging: the one override pass
 # --------------------------------------------------------------------- #
 def test_merged_other_wins_field_by_field():
     base = ExecutionConfig(num_workers=1, streaming=True, batch_size=4)
@@ -196,23 +242,6 @@ def test_merged_invalidates_resolution():
     assert resolved.merged(num_workers=2).resolved is False
 
 
-def test_parallel_config_round_trip():
-    policy = RetryPolicy(timeout=1.0, max_retries=3)
-    parallel = ParallelConfig(
-        num_workers=2, chunk_size=3, streaming=False, retry=policy, blas_threads=1
-    )
-    lifted = ExecutionConfig.from_parallel(parallel)
-    assert lifted.num_workers == 2
-    assert lifted.chunk_size == 3
-    assert lifted.streaming is False
-    assert lifted.retry == policy
-    assert lifted.blas_threads == 1
-    back = lifted.parallel()
-    assert (back.num_workers, back.chunk_size, back.streaming, back.retry, back.blas_threads) == (
-        2, 3, False, policy, 1,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Validation: structured errors naming field + source
 # --------------------------------------------------------------------- #
@@ -243,12 +272,19 @@ def test_config_error_is_value_error():
         ("incremental", 0),
         ("result_cache", 1.5),
         ("retry", object()),
+        ("result_cache", -5),
+        ("result_cache", "1024"),
+        ("retry", 5),
     ],
 )
 def test_validate_rejects_bad_values(field, value):
     with pytest.raises(ConfigError) as excinfo:
         ExecutionConfig(**{field: value}).validate()
     assert excinfo.value.field == field
+    # resolve() validates explicit fields before normalising them.
+    with pytest.raises(ConfigError) as excinfo:
+        ExecutionConfig(**{field: value}).resolve()
+    assert (excinfo.value.field, excinfo.value.source) == (field, "explicit")
 
 
 def test_resolve_validates():
@@ -400,105 +436,13 @@ def test_plan_pooled_sharded(model):
 
 
 # --------------------------------------------------------------------- #
-# Config route == kwarg route, bit for bit (acceptance)
+# Every consumer takes the config document
 # --------------------------------------------------------------------- #
-def _legacy_pipeline(engine, **kwargs) -> InferencePipeline:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return InferencePipeline(engine, **kwargs)
-
-
-def test_config_route_matches_kwargs_zoo_wide(zoo_model):
-    _, engine = zoo_model
-    masks = np.stack([_mask(32, seed=s) for s in (10, 11, 12)])
-    with _legacy_pipeline(engine, batch_size=2, result_cache=False) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(
-        engine, config=ExecutionConfig(batch_size=2, result_cache=False)
-    ) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-def test_config_route_matches_kwargs_stitched(model):
-    masks = np.stack([_mask(64, seed=s) for s in (13, 14)])
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=16, result_cache=False)
-    with _legacy_pipeline(model, **kwargs) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(model, config=ExecutionConfig(**kwargs)) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-def test_config_route_matches_kwargs_pooled(model):
-    masks = np.stack([_mask(64, seed=s) for s in (15, 16)])
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=16, result_cache=False)
-    with _legacy_pipeline(model, num_workers=2, **kwargs) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(
-        model, config=ExecutionConfig(num_workers=2, **kwargs)
-    ) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-# --------------------------------------------------------------------- #
-# Legacy kwarg shims: every path warns; config= stays silent
-# --------------------------------------------------------------------- #
-LEGACY_KWARGS = {
-    "tile_size": 32,
-    "batch_size": 2,
-    "optical_diameter_pixels": 8,
-    "num_workers": 0,
-    "chunk_size": 1,
-    "compile": False,
-    "streaming": False,
-    "shard_tiles": False,
-    "result_cache": False,
-    "retry": RetryPolicy(),
-    "blas_threads": 0,
-}
-
-
-@pytest.mark.parametrize("name", sorted(LEGACY_KWARGS))
-def test_pipeline_warns_per_legacy_kwarg(model, name):
-    with pytest.warns(DeprecationWarning, match=name):
-        pipeline = InferencePipeline(model, **{name: LEGACY_KWARGS[name]})
-    pipeline.close()
-
-
-def test_pipeline_warns_on_backend_kwarg(model):
-    with pytest.warns(DeprecationWarning, match="backend"):
-        pipeline = InferencePipeline(model, compile=True, backend="float32")
-    pipeline.close()
-
-
-def test_pipeline_warns_on_parallel_kwarg(model):
-    with pytest.warns(DeprecationWarning, match="parallel"):
-        pipeline = InferencePipeline(model, parallel=ParallelConfig(num_workers=0))
-    pipeline.close()
-
-
-def test_pipeline_kwargs_override_config(model):
-    with pytest.warns(DeprecationWarning):
-        pipeline = InferencePipeline(
-            model, config=ExecutionConfig(batch_size=4), batch_size=2
-        )
-    assert pipeline.config.batch_size == 2
-    assert pipeline.config.source_of("batch_size") == "explicit"
-    pipeline.close()
-
-
 def test_config_route_does_not_warn(model):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         pipeline = InferencePipeline(model, config=ExecutionConfig(batch_size=2))
         pipeline.close()
-
-
-def test_harness_pipelines_warn_on_legacy_kwargs(model):
-    harness = Harness()
-    with pytest.warns(DeprecationWarning, match="model_pipeline"):
-        harness.model_pipeline(model, num_workers=0).close()
-    with pytest.warns(DeprecationWarning, match="simulator_pipeline"):
-        harness.simulator_pipeline(streaming=False).close()
 
 
 def test_harness_config_route_does_not_warn(model):
@@ -528,33 +472,12 @@ def test_simulator_pipeline_forwards_every_knob():
         pipeline.close()
 
 
-def test_measurement_helpers_warn_on_legacy_kwargs(model):
-    mask = _mask(32)
-    with pytest.warns(DeprecationWarning, match="measure_model_throughput"):
-        measure_model_throughput(model, mask, 16.0, repeats=1, warmup=0, num_workers=0)
+def test_opc_engine_passes_execution_through():
     simulator = LithoSimulator(pixel_size=16.0, num_kernels=4, kernel_support=15)
-    with pytest.warns(DeprecationWarning, match="measure_simulator_throughput"):
-        measure_simulator_throughput(simulator, mask, repeats=1, warmup=0, streaming=False)
-
-
-@pytest.mark.parametrize("driver", [run_figure6, run_table4])
-def test_experiment_drivers_warn_on_legacy_kwargs(driver):
-    # An unknown knob raises right after the warning, so neither driver gets
-    # far enough to build a harness — this pins the warn-then-merge order.
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        with pytest.raises(ConfigError):
-            driver(definitely_not_a_knob=1)
-
-
-def test_opc_config_execution_merge():
-    """The deprecated per-knob OPC fields override the embedded config."""
-    cfg = OPCConfig(
-        num_workers=2,
-        execution=ExecutionConfig(num_workers=4, streaming=False, blas_threads=3),
-    )
-    merged = cfg.execution_config()
-    assert merged.num_workers == 2       # legacy mirror field wins
-    assert merged.streaming is False     # embedded config fills the rest
-    assert merged.blas_threads == 3
-    embedded_only = OPCConfig(execution=ExecutionConfig(num_workers=4))
-    assert embedded_only.execution_config().num_workers == 4
+    execution = ExecutionConfig(streaming=False, incremental=False, result_cache=True)
+    with OPCEngine(simulator, OPCConfig(execution=execution)) as engine:
+        config = engine.pipeline.config
+        assert (config.streaming, config.incremental) == (False, False)
+        assert config.result_cache == DEFAULT_CACHE_BUDGET_BYTES
+        assert config.source_of("incremental") == "explicit"
+        assert engine.pipeline.result_cache is not None

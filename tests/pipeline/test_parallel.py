@@ -22,14 +22,13 @@ from repro.litho import LithoSimulator
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
     RetryPolicy,
     SimulatorExecutor,
     WorkerPoolError,
     WorkerPoolExecutor,
-    resolve_num_workers,
 )
 
 #: Pre-supervision failure semantics: no retries, no degradation — a worker
@@ -59,16 +58,17 @@ def _random_masks(n: int, size: int, seed: int = 11) -> np.ndarray:
 # --------------------------------------------------------------------- #
 def test_worker_pool_model_bit_identical(model):
     masks = _random_masks(6, 32)
-    serial = InferencePipeline(model, batch_size=4)
-    with InferencePipeline(model, batch_size=4, num_workers=2) as parallel:
+    serial = InferencePipeline(model, config=ExecutionConfig(batch_size=4))
+    with InferencePipeline(model, config=ExecutionConfig(batch_size=4, num_workers=2)) as parallel:
         assert isinstance(parallel.executor, WorkerPoolExecutor)
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
 def test_worker_pool_simulator_bit_identical(simulator):
     masks = _random_masks(5, 32)
-    serial = InferencePipeline(simulator, batch_size=4)
-    with InferencePipeline(simulator, batch_size=4, num_workers=2) as parallel:
+    serial = InferencePipeline(simulator, config=ExecutionConfig(batch_size=4))
+    pooled = ExecutionConfig(batch_size=4, num_workers=2)
+    with InferencePipeline(simulator, config=pooled) as parallel:
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
@@ -81,16 +81,16 @@ def test_worker_pool_simulator_bit_identical_across_chunkings():
     last-ULP bits (and, after resist thresholding, contour pixels)."""
     sim = LithoSimulator(pixel_size=16.0, num_kernels=12, kernel_support=35)
     masks = _random_masks(8, 64, seed=21)
-    serial = InferencePipeline(sim, batch_size=8)
-    with InferencePipeline(sim, batch_size=8, num_workers=2) as parallel:
+    serial = InferencePipeline(sim, config=ExecutionConfig(batch_size=8))
+    with InferencePipeline(sim, config=ExecutionConfig(batch_size=8, num_workers=2)) as parallel:
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
 def test_worker_pool_stitched_bit_identical(model):
     masks = _random_masks(2, 64, seed=3)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
-    with InferencePipeline(model, num_workers=2, **kwargs) as parallel:
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    serial = InferencePipeline(model, config=base)
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as parallel:
         assert np.array_equal(
             parallel.predict(masks, stitch=True), serial.predict(masks, stitch=True)
         )
@@ -98,8 +98,8 @@ def test_worker_pool_stitched_bit_identical(model):
 
 def test_worker_pool_repeated_runs_reuse_pool(model):
     masks = _random_masks(4, 32)
-    serial = InferencePipeline(model, batch_size=2)
-    with InferencePipeline(model, batch_size=2, num_workers=2) as parallel:
+    serial = InferencePipeline(model, config=ExecutionConfig(batch_size=2))
+    with InferencePipeline(model, config=ExecutionConfig(batch_size=2, num_workers=2)) as parallel:
         first = parallel.predict(masks)
         pool = parallel.executor._pool
         assert pool is not None
@@ -115,19 +115,22 @@ def test_worker_pool_repeated_runs_reuse_pool(model):
 @pytest.mark.parametrize("workers", [0, 1])
 def test_low_worker_counts_stay_in_process(model, workers):
     masks = _random_masks(4, 32)
-    pipeline = InferencePipeline(model, batch_size=2, num_workers=workers)
+    pipeline = InferencePipeline(
+        model,
+        config=ExecutionConfig(batch_size=2, num_workers=workers),
+    )
     # The pipeline does not even wrap the executor for a serial worker count.
     assert isinstance(pipeline.executor, ModelExecutor)
     assert pipeline.num_workers == workers
 
-    executor = WorkerPoolExecutor(model, num_workers=workers)
+    executor = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=workers))
     out = executor.run_batch(masks[:, None])
     assert executor._pool is None  # never spawned a pool
     assert np.array_equal(out, ModelExecutor(model).run_batch(masks[:, None]))
 
 
 def test_single_item_batches_run_in_process(model):
-    with WorkerPoolExecutor(model, num_workers=2) as executor:
+    with WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)) as executor:
         out = executor.run_batch(_random_masks(1, 32)[:, None])
         assert executor._pool is None
         assert out.shape == (1, 1, 32, 32)
@@ -135,37 +138,38 @@ def test_single_item_batches_run_in_process(model):
 
 def test_env_override_controls_worker_count(model, monkeypatch):
     monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-    assert resolve_num_workers() == 3
-    assert resolve_num_workers(2) == 2  # explicit argument wins
-    assert ParallelConfig().resolved_workers() == 3
     pipeline = InferencePipeline(model)
     assert pipeline.num_workers == 3
     assert isinstance(pipeline.executor, WorkerPoolExecutor)
+    pipeline.close()
+    explicit = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2))
+    assert explicit.num_workers == 2  # an explicit field beats the env var
     monkeypatch.setenv("REPRO_NUM_WORKERS", "")
-    assert resolve_num_workers() == 0
+    assert not isinstance(InferencePipeline(model).executor, WorkerPoolExecutor)
     monkeypatch.setenv("REPRO_NUM_WORKERS", "not-a-number")
     with pytest.raises(ValueError):
-        resolve_num_workers()
+        InferencePipeline(model)
 
 
 def test_invalid_parallel_configuration(model):
     with pytest.raises(ValueError):
-        resolve_num_workers(-1)
+        WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=-1))
     with pytest.raises(ValueError):
-        ParallelConfig(chunk_size=0)
-    with pytest.raises(ValueError):
-        WorkerPoolExecutor(model, num_workers=2, chunk_size=0)
+        WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2, chunk_size=0))
     with pytest.raises(TypeError):
-        WorkerPoolExecutor(WorkerPoolExecutor(model, num_workers=2), num_workers=2)
+        WorkerPoolExecutor(
+            WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)),
+            config=ExecutionConfig(num_workers=2),
+        )
 
 
 def test_worker_pool_proxies_capabilities(model, simulator):
-    wrapped = WorkerPoolExecutor(model, num_workers=2)
+    wrapped = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2))
     assert wrapped.supports_stitching
     assert wrapped.pool_factor == model.config.pool_factor
     assert not wrapped.arbitrary_size
     assert "workers=2" in wrapped.name
-    sim_wrapped = WorkerPoolExecutor(simulator, num_workers=2)
+    sim_wrapped = WorkerPoolExecutor(simulator, config=ExecutionConfig(num_workers=2))
     assert sim_wrapped.arbitrary_size
     assert not sim_wrapped.supports_stitching
 
@@ -175,7 +179,7 @@ def test_worker_pool_proxies_capabilities(model, simulator):
 # --------------------------------------------------------------------- #
 def test_worker_pool_close_is_idempotent(model):
     masks = _random_masks(4, 32)
-    executor = WorkerPoolExecutor(model, num_workers=2)
+    executor = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2))
     reference = executor.run_batch(masks[:, None])
     assert executor._pool is not None
     executor.close()
@@ -190,7 +194,7 @@ def test_worker_pool_close_is_idempotent(model):
 
 def test_pipeline_context_manager_reentry(model):
     masks = _random_masks(4, 32)
-    pipeline = InferencePipeline(model, batch_size=2, num_workers=2)
+    pipeline = InferencePipeline(model, config=ExecutionConfig(batch_size=2, num_workers=2))
     with pipeline as entered:
         assert entered is pipeline
         first = pipeline.predict(masks)
@@ -205,7 +209,7 @@ def test_pipeline_context_manager_reentry(model):
 
 def test_serial_pipeline_close_and_reentry_are_noops(model):
     masks = _random_masks(2, 32)
-    pipeline = InferencePipeline(model, batch_size=2)
+    pipeline = InferencePipeline(model, config=ExecutionConfig(batch_size=2))
     with pipeline:
         first = pipeline.predict(masks)
     pipeline.close()
@@ -241,7 +245,10 @@ class _AlwaysFails(Executor):
 
 
 def test_worker_exception_propagates_with_remote_traceback():
-    with WorkerPoolExecutor(_FailsInWorkers(), num_workers=2, retry=STRICT) as executor:
+    with WorkerPoolExecutor(
+        _FailsInWorkers(),
+        config=ExecutionConfig(num_workers=2, retry=STRICT),
+    ) as executor:
         with pytest.raises(WorkerPoolError) as excinfo:
             executor.run_batch(np.zeros((5, 1, 8, 8)))
     message = str(excinfo.value)
@@ -260,17 +267,20 @@ def test_worker_exception_propagates_with_remote_traceback():
 def test_probe_failure_raises_in_parent():
     # The output-spec probe runs in-process; its failure is the original
     # exception, not a wrapped worker error.
-    with WorkerPoolExecutor(_AlwaysFails(), num_workers=2) as executor:
+    with WorkerPoolExecutor(_AlwaysFails(), config=ExecutionConfig(num_workers=2)) as executor:
         with pytest.raises(ValueError, match="marker-5678"):
             executor.run_batch(np.zeros((4, 1, 8, 8)))
 
 
 def test_pool_recovers_after_worker_failure(model):
     masks = _random_masks(4, 32)
-    with WorkerPoolExecutor(model, num_workers=2) as executor:
+    with WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)) as executor:
         reference = ModelExecutor(model).run_batch(masks[:, None])
         assert np.array_equal(executor.run_batch(masks[:, None]), reference)
-    with WorkerPoolExecutor(_FailsInWorkers(), num_workers=2, retry=STRICT) as failing:
+    with WorkerPoolExecutor(
+        _FailsInWorkers(),
+        config=ExecutionConfig(num_workers=2, retry=STRICT),
+    ) as failing:
         with pytest.raises(WorkerPoolError):
             failing.run_batch(np.zeros((5, 1, 8, 8)))
         # The pool survives a failed chunk and keeps serving.

@@ -27,15 +27,14 @@ import pytest
 
 from repro.pipeline import (
     STREAMING_ENV,
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
     RetryPolicy,
     SegmentRing,
     WorkerPoolError,
     WorkerPoolExecutor,
     live_segment_names,
-    resolve_streaming,
 )
 from repro.pipeline.executors import Executor
 from repro.pipeline.streaming import SEGMENT_PREFIX
@@ -65,29 +64,31 @@ def _repro_shm_files() -> list[str]:
 
 
 # --------------------------------------------------------------------- #
-# Knob resolution
+# Transport selection
 # --------------------------------------------------------------------- #
 def test_streaming_resolution(monkeypatch):
+    def resolved(streaming=None):
+        return ExecutionConfig(streaming=streaming).resolve().streaming
+
     monkeypatch.delenv(STREAMING_ENV, raising=False)
-    assert resolve_streaming() is True                  # default: on
-    assert resolve_streaming(False) is False            # explicit argument wins
+    assert resolved() is True                  # default: on
+    assert resolved(False) is False            # explicit argument wins
     monkeypatch.setenv(STREAMING_ENV, "0")
-    assert resolve_streaming() is False
-    assert resolve_streaming(True) is True
+    assert resolved() is False
+    assert resolved(True) is True
     monkeypatch.setenv(STREAMING_ENV, "on")
-    assert resolve_streaming() is True
-    assert ParallelConfig(streaming=False).resolved_streaming() is False
+    assert resolved() is True
     monkeypatch.setenv(STREAMING_ENV, "sideways")
     with pytest.raises(ValueError):
-        resolve_streaming()
+        resolved()
 
 
 def test_env_override_controls_transport(model, monkeypatch):
     monkeypatch.setenv(STREAMING_ENV, "0")
-    assert not WorkerPoolExecutor(model, num_workers=2).streaming
+    assert not WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)).streaming
     monkeypatch.setenv(STREAMING_ENV, "1")
-    assert WorkerPoolExecutor(model, num_workers=2).streaming
-    pipeline = InferencePipeline(model, num_workers=2, streaming=False)
+    assert WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)).streaming
+    pipeline = InferencePipeline(model, config=ExecutionConfig(num_workers=2, streaming=False))
     assert not pipeline.streaming  # explicit argument beats the env var
     pipeline.close()
 
@@ -98,7 +99,7 @@ def test_env_override_controls_transport(model, monkeypatch):
 def test_ring_reuses_segments_across_calls(model):
     masks = _random_masks(6, 32)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(model, num_workers=2) as executor:
+    with WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)) as executor:
         assert executor.streaming
         outputs = [executor.run_batch(masks[:, None]) for _ in range(3)]
         for out in outputs:
@@ -115,10 +116,11 @@ def test_ring_reuses_segments_across_calls(model):
 def test_streaming_pipeline_bit_identical_across_calls(model):
     """>= 3 consecutive pipeline calls: ring == per-call == serial, bit for bit."""
     masks = _random_masks(6, 32, seed=23)
-    serial = InferencePipeline(model, batch_size=4, num_workers=0)
+    serial = InferencePipeline(model, config=ExecutionConfig(batch_size=4, num_workers=0))
     reference = serial.predict(masks)
-    with InferencePipeline(model, batch_size=4, num_workers=2) as ring_pipe, \
-         InferencePipeline(model, batch_size=4, num_workers=2, streaming=False) as per_call:
+    pooled = ExecutionConfig(batch_size=4, num_workers=2)
+    with InferencePipeline(model, config=pooled) as ring_pipe, \
+         InferencePipeline(model, config=pooled.merged(streaming=False)) as per_call:
         assert ring_pipe.streaming and not per_call.streaming
         for _ in range(3):
             np.testing.assert_array_equal(ring_pipe.predict(masks), reference)
@@ -127,7 +129,8 @@ def test_streaming_pipeline_bit_identical_across_calls(model):
 
 def test_per_call_mode_leaves_no_live_segments(model):
     masks = _random_masks(4, 32)
-    with WorkerPoolExecutor(model, num_workers=2, streaming=False) as executor:
+    per_call = ExecutionConfig(num_workers=2, streaming=False)
+    with WorkerPoolExecutor(model, config=per_call) as executor:
         executor.run_batch(masks[:, None])
         assert live_segment_names() == ()  # released inside the call already
 
@@ -140,7 +143,7 @@ def test_ring_regrows_on_geometry_change(model):
     big = _random_masks(4, 64, seed=4)
     ref_small = ModelExecutor(model).run_batch(small[:, None])
     ref_big = ModelExecutor(model).run_batch(big[:, None])
-    with WorkerPoolExecutor(model, num_workers=2) as executor:
+    with WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)) as executor:
         np.testing.assert_array_equal(executor.run_batch(small[:, None]), ref_small)
         generations = {r: s.generation for r, s in executor._ring.slots().items()}
         assert set(generations.values()) == {0}
@@ -177,7 +180,7 @@ def test_slot_capacity_never_shrinks():
 # --------------------------------------------------------------------- #
 def test_ring_close_is_idempotent_and_respawns(model):
     masks = _random_masks(4, 32)
-    executor = WorkerPoolExecutor(model, num_workers=2)
+    executor = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2))
     reference = executor.run_batch(masks[:, None])
     assert executor._ring is not None and len(executor._ring) > 0
     executor.close()
@@ -207,9 +210,9 @@ def test_atexit_releases_unclosed_ring_segments(tmp_path):
         """
         import numpy as np
         from repro.core import create_model
-        from repro.pipeline import WorkerPoolExecutor, live_segment_names
+        from repro.pipeline import ExecutionConfig, WorkerPoolExecutor, live_segment_names
         model = create_model("doinn", image_size=32, gp_channels=4, lp_base_channels=2)
-        executor = WorkerPoolExecutor(model, num_workers=2)
+        executor = WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2))
         executor.run_batch(np.zeros((4, 1, 32, 32)))
         assert executor.streaming and live_segment_names()
         print("LIVE:" + ",".join(live_segment_names()))
@@ -237,11 +240,12 @@ def test_atexit_with_unjoined_pools_exits_quietly():
         """
         import numpy as np
         from repro.core import create_model
-        from repro.pipeline import WorkerPoolExecutor
+        from repro.pipeline import ExecutionConfig, WorkerPoolExecutor
         model = create_model("doinn", image_size=32, gp_channels=4, lp_base_channels=2)
-        supervised = WorkerPoolExecutor(model, num_workers=2)
+        pooled = ExecutionConfig(num_workers=2)
+        supervised = WorkerPoolExecutor(model, config=pooled)
         supervised.run_batch(np.zeros((4, 1, 32, 32)))
-        blind = WorkerPoolExecutor(model, num_workers=2, supervised=False)
+        blind = WorkerPoolExecutor(model, config=pooled, supervised=False)
         blind.run_batch(np.zeros((4, 1, 32, 32)))
         print("RAN")
         # exit WITHOUT close(): __del__ + atexit must tear down quietly.
@@ -279,7 +283,8 @@ class _FailsInWorkers(Executor):
 def test_no_stale_segments_after_worker_error(streaming):
     before = _repro_shm_files()
     with WorkerPoolExecutor(
-        _FailsInWorkers(), num_workers=2, streaming=streaming, retry=STRICT
+        _FailsInWorkers(),
+        config=ExecutionConfig(num_workers=2, streaming=streaming, retry=STRICT),
     ) as executor:
         with pytest.raises(WorkerPoolError, match="marker-4242"):
             executor.run_batch(np.zeros((5, 1, 8, 8)))
@@ -302,7 +307,9 @@ def test_sigkilled_worker_mid_batch_leaves_shm_clean(model, streaming):
     masks = _random_masks(6, 32, seed=47)
     reference = ModelExecutor(model).run_batch(masks[:, None])
     with WorkerPoolExecutor(
-        model, num_workers=2, streaming=streaming, fault_plan="kill@0:0"
+        model,
+        config=ExecutionConfig(num_workers=2, streaming=streaming),
+        fault_plan="kill@0:0",
     ) as executor:
         out = executor.run_batch(masks[:, None])
         np.testing.assert_array_equal(out, reference)
@@ -322,10 +329,12 @@ def test_atexit_cleans_shm_after_sigkilled_worker(streaming):
         f"""
         import numpy as np
         from repro.core import create_model
-        from repro.pipeline import WorkerPoolExecutor, live_segment_names
+        from repro.pipeline import ExecutionConfig, WorkerPoolExecutor, live_segment_names
         model = create_model("doinn", image_size=32, gp_channels=4, lp_base_channels=2)
         executor = WorkerPoolExecutor(
-            model, num_workers=2, streaming={streaming}, fault_plan="kill@0:0"
+            model,
+            config=ExecutionConfig(num_workers=2, streaming={streaming}),
+            fault_plan="kill@0:0",
         )
         executor.run_batch(np.zeros((6, 1, 32, 32)))
         assert executor.robustness.workers_respawned >= 1
@@ -351,13 +360,16 @@ def test_atexit_cleans_shm_after_sigkilled_worker(streaming):
 def test_streaming_pool_recovers_after_worker_failure(model):
     masks = _random_masks(4, 32)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(_FailsInWorkers(), num_workers=2, retry=STRICT) as failing:
+    with WorkerPoolExecutor(
+        _FailsInWorkers(),
+        config=ExecutionConfig(num_workers=2, retry=STRICT),
+    ) as failing:
         with pytest.raises(WorkerPoolError):
             failing.run_batch(np.zeros((5, 1, 8, 8)))
         # The ring survives a failed batch and keeps serving the next one.
         with pytest.raises(WorkerPoolError):
             failing.run_batch(np.zeros((5, 1, 8, 8)))
-    with WorkerPoolExecutor(model, num_workers=2) as executor:
+    with WorkerPoolExecutor(model, config=ExecutionConfig(num_workers=2)) as executor:
         np.testing.assert_array_equal(executor.run_batch(masks[:, None]), reference)
 
 
@@ -367,11 +379,11 @@ def test_streaming_pool_recovers_after_worker_failure(model):
 def test_intra_mask_sharding_single_large_mask_bit_identical(model):
     """The tiles of ONE large mask shard across the pool, bit-identically."""
     mask = _random_masks(1, 64, seed=31)[0]
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    serial = InferencePipeline(model, config=base)
     reference = serial.run(mask[None, None], stitch=True)
     assert not reference.stats.sharded_tiles
-    with InferencePipeline(model, num_workers=2, **kwargs) as sharded:
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as sharded:
         result = sharded.run(mask[None, None], stitch=True)
         assert result.stats.sharded_tiles
         assert result.stats.num_tiles == reference.stats.num_tiles
@@ -384,22 +396,25 @@ def test_intra_mask_sharding_single_large_mask_bit_identical(model):
 
 def test_shard_tiles_opt_out_matches_chunked_plan(model):
     masks = _random_masks(2, 64, seed=33)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    reference = InferencePipeline(model, **kwargs).predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, shard_tiles=False, **kwargs) as chunked:
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    reference = InferencePipeline(model, config=base).predict(masks, stitch=True)
+    with InferencePipeline(
+        model,
+        config=base.merged(num_workers=2, shard_tiles=False),
+    ) as chunked:
         result = chunked.run(masks, stitch=True)
         assert not result.stats.sharded_tiles
         np.testing.assert_array_equal(result.outputs[:, 0], reference)
     # Serial pipelines never shard, even with the knob forced on.
-    forced = InferencePipeline(model, shard_tiles=True, **kwargs)
+    forced = InferencePipeline(model, config=base.merged(shard_tiles=True))
     assert not forced.run(masks, stitch=True).stats.sharded_tiles
 
 
 def test_gp_features_shard_across_pool(model):
     mask = _random_masks(1, 64, seed=35)[0]
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    reference = InferencePipeline(model, **kwargs).gp_features(mask)
-    with InferencePipeline(model, num_workers=2, **kwargs) as sharded:
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    reference = InferencePipeline(model, config=base).gp_features(mask)
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as sharded:
         np.testing.assert_array_equal(sharded.gp_features(mask), reference)
 
 
@@ -419,22 +434,23 @@ def test_streaming_and_sharding_equivalence_whole_zoo(zoo_model):
     executor = ModelExecutor(model)
     if executor.supports_stitching:
         masks = _random_masks(2, 64, seed=41)
-        kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-        serial = InferencePipeline(model, **kwargs)
+        base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+        serial = InferencePipeline(model, config=base)
         reference = serial.predict(masks, stitch=True)
-        with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+        with InferencePipeline(model, config=base.merged(num_workers=2)) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks, stitch=True), reference)
     else:
         masks = _random_masks(4, 32, seed=43)
-        reference = InferencePipeline(model, batch_size=2).predict(masks)
-        with InferencePipeline(model, batch_size=2, num_workers=2) as pooled:
+        reference = InferencePipeline(model, config=ExecutionConfig(batch_size=2)).predict(masks)
+        pooled_config = ExecutionConfig(batch_size=2, num_workers=2)
+        with InferencePipeline(model, config=pooled_config) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks), reference)
 
 
 def test_sharding_composes_with_compiled_engines(model):
     masks = _random_masks(2, 64, seed=45)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    reference = InferencePipeline(model, **kwargs).predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    reference = InferencePipeline(model, config=base).predict(masks, stitch=True)
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as pooled:
         assert pooled.compiled
         np.testing.assert_array_equal(pooled.predict(masks, stitch=True), reference)

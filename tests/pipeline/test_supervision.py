@@ -12,9 +12,10 @@ Three invariants anchor this file:
   :class:`PoolDegradedWarning` (still bit-identical), or raises a structured
   :class:`WorkerPoolError` carrying every chunk's bounds, attempt counts and
   full failure history when ``degrade=False``;
-* **deterministic bookkeeping** — the ``REPRO_WORKER_*`` / ``REPRO_FAULT_PLAN``
-  knobs resolve with explicit-argument > environment > default precedence,
-  and the robustness counters (retries, respawns, degraded runs, fault
+* **deterministic bookkeeping** — ``REPRO_FAULT_PLAN`` resolves with
+  explicit-argument > environment > default precedence, an explicit
+  ``timeout=0`` keeps an environment deadline from firing, and the
+  robustness counters (retries, respawns, degraded runs, fault
   events) land per-run on :class:`PipelineStats` with exact values.
 """
 
@@ -26,11 +27,11 @@ import pytest
 from repro.pipeline import (
     DEGRADE_ENV,
     FAULT_PLAN_ENV,
+    ExecutionConfig,
     FaultPlan,
     InferencePipeline,
     InjectedFault,
     ModelExecutor,
-    ParallelConfig,
     PoolDegradedWarning,
     RetryPolicy,
     SupervisedPool,
@@ -40,7 +41,6 @@ from repro.pipeline import (
     WorkerPoolExecutor,
     live_segment_names,
     resolve_fault_plan,
-    resolve_retry_policy,
 )
 
 
@@ -55,12 +55,17 @@ def _random_masks(n: int, size: int, seed: int = 17) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Knob resolution: RetryPolicy (explicit > env > default)
+# RetryPolicy resolution (the full precedence table lives in
+# tests/pipeline/test_config.py)
 # --------------------------------------------------------------------- #
+def _resolved_retry(retry=None) -> RetryPolicy:
+    return ExecutionConfig(retry=retry).resolve().retry
+
+
 def test_retry_policy_defaults(monkeypatch):
     for var in (WORKER_TIMEOUT_ENV, WORKER_RETRIES_ENV, DEGRADE_ENV):
         monkeypatch.delenv(var, raising=False)
-    policy = resolve_retry_policy()
+    policy = _resolved_retry()
     assert policy.timeout is None          # no deadline unless asked for
     assert policy.max_retries == 2
     assert policy.degrade is True          # a stream survives a dying worker
@@ -70,30 +75,30 @@ def test_retry_policy_env_overrides(monkeypatch):
     monkeypatch.setenv(WORKER_TIMEOUT_ENV, "7.5")
     monkeypatch.setenv(WORKER_RETRIES_ENV, "5")
     monkeypatch.setenv(DEGRADE_ENV, "off")
-    policy = resolve_retry_policy()
+    policy = _resolved_retry()
     assert policy.timeout == 7.5
     assert policy.max_retries == 5
     assert policy.degrade is False
-    # Explicit arguments beat the environment ...
-    explicit = resolve_retry_policy(RetryPolicy(timeout=2.0, max_retries=1, degrade=True))
+    # Explicit fields beat the environment ...
+    explicit = _resolved_retry(RetryPolicy(timeout=2.0, max_retries=1, degrade=True))
     assert (explicit.timeout, explicit.max_retries, explicit.degrade) == (2.0, 1, True)
-    # ... including timeout=0, which explicitly disables the env deadline.
-    assert resolve_retry_policy(RetryPolicy(timeout=0)).timeout is None
-    assert ParallelConfig(retry=RetryPolicy(max_retries=0)).resolved_retry().max_retries == 0
+    # ... including timeout=0, which explicitly keeps the env deadline off.
+    assert _resolved_retry(RetryPolicy(timeout=0)).timeout == 0
+    assert _resolved_retry(RetryPolicy(max_retries=0)).max_retries == 0
 
 
 def test_retry_policy_env_validation(monkeypatch):
     monkeypatch.setenv(WORKER_TIMEOUT_ENV, "soon")
     with pytest.raises(ValueError):
-        resolve_retry_policy()
+        _resolved_retry()
     monkeypatch.delenv(WORKER_TIMEOUT_ENV)
     monkeypatch.setenv(WORKER_RETRIES_ENV, "-2")
     with pytest.raises(ValueError):
-        resolve_retry_policy()
+        _resolved_retry()
     monkeypatch.delenv(WORKER_RETRIES_ENV)
     monkeypatch.setenv(DEGRADE_ENV, "sideways")
     with pytest.raises(ValueError):
-        resolve_retry_policy()
+        _resolved_retry()
 
 
 def test_retry_policy_field_validation():
@@ -160,7 +165,11 @@ def test_fault_heals_bit_identical(model, mode):
     bit for bit, because every chunk owns its ``[start, stop)`` slice."""
     masks = _random_masks(6, 32)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(model, num_workers=2, fault_plan=f"{mode}@0:1") as executor:
+    with WorkerPoolExecutor(
+        model,
+        config=ExecutionConfig(num_workers=2),
+        fault_plan=f"{mode}@0:1",
+    ) as executor:
         out = executor.run_batch(masks[:, None])
         np.testing.assert_array_equal(out, reference)
         counters = executor.robustness
@@ -181,12 +190,31 @@ def test_hang_is_killed_at_the_deadline_and_retried(model):
     reference = ModelExecutor(model).run_batch(masks[:, None])
     policy = RetryPolicy(timeout=1.0, max_retries=1)
     with WorkerPoolExecutor(
-        model, num_workers=2, retry=policy, fault_plan="hang@0:0~30"
+        model,
+        config=ExecutionConfig(num_workers=2, retry=policy),
+        fault_plan="hang@0:0~30",
     ) as executor:
         out = executor.run_batch(masks[:, None])
         np.testing.assert_array_equal(out, reference)
         assert executor.robustness.chunks_retried == 1
         assert executor.robustness.workers_respawned == 1
+
+
+def test_explicit_zero_timeout_keeps_the_env_deadline_off(model, monkeypatch):
+    """``RetryPolicy(timeout=0)`` beats ``REPRO_WORKER_TIMEOUT``: no kill, no retry."""
+    monkeypatch.setenv(WORKER_TIMEOUT_ENV, "0.3")
+    masks = _random_masks(4, 32, seed=23)
+    reference = ModelExecutor(model).run_batch(masks[:, None])
+    retried = {}
+    for label, retry in (("env", None), ("explicit-zero", RetryPolicy(timeout=0))):
+        config = ExecutionConfig(num_workers=2, retry=retry)
+        with WorkerPoolExecutor(model, config=config, fault_plan="hang@0:0~1.5") as executor:
+            np.testing.assert_array_equal(executor.run_batch(masks[:, None]), reference)
+            retried[label] = (
+                executor.robustness.chunks_retried, executor.robustness.workers_respawned
+            )
+    assert retried["env"][0] >= 1              # the env deadline killed the hang
+    assert retried["explicit-zero"] == (0, 0)  # no deadline fired at all
 
 
 def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
@@ -198,9 +226,9 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
     executor = ModelExecutor(model)
     if executor.supports_stitching:
         masks = _random_masks(2, 64, seed=51)
-        kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-        reference = InferencePipeline(model, **kwargs).run(masks, stitch=True)
-        with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+        base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+        reference = InferencePipeline(model, config=base).run(masks, stitch=True)
+        with InferencePipeline(model, config=base.merged(num_workers=2)) as pooled:
             result = pooled.run(masks, stitch=True)
             assert result.stats.sharded_tiles
             np.testing.assert_array_equal(result.outputs, reference.outputs)
@@ -208,8 +236,9 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
             assert result.stats.fault_events >= 1
     else:
         masks = _random_masks(4, 32, seed=53)
-        reference = InferencePipeline(model, batch_size=2).predict(masks)
-        with InferencePipeline(model, batch_size=2, num_workers=2) as pooled:
+        reference = InferencePipeline(model, config=ExecutionConfig(batch_size=2)).predict(masks)
+        pooled_config = ExecutionConfig(batch_size=2, num_workers=2)
+        with InferencePipeline(model, config=pooled_config) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks), reference)
             assert pooled.executor.robustness.chunks_retried >= 1
 
@@ -217,10 +246,10 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
 def test_chaos_predict_patched_matches_serial(model, monkeypatch):
     """Hard worker crashes under the incremental patched plan still match the
     serial prediction exactly — patched windows are just chunks with slices."""
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    serial = InferencePipeline(model, config=base)
     monkeypatch.setenv(FAULT_PLAN_ENV, "exit@*:0")
-    with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as pooled:
         state = pooled.incremental_state((64, 64))
         assert state.mode == "gp"
         mask = _random_masks(1, 64, seed=55)[0]
@@ -241,7 +270,8 @@ def test_unsupervised_baseline_stays_bit_identical(model):
     dispatch alive (the bench baseline): same outputs, no monitoring."""
     masks = _random_masks(6, 32, seed=57)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(model, num_workers=2, supervised=False) as executor:
+    pooled = ExecutionConfig(num_workers=2)
+    with WorkerPoolExecutor(model, config=pooled, supervised=False) as executor:
         assert not isinstance(executor._pool, SupervisedPool)  # lazily None, then mp.Pool
         np.testing.assert_array_equal(executor.run_batch(masks[:, None]), reference)
         assert not isinstance(executor._pool, SupervisedPool)
@@ -256,7 +286,8 @@ def test_exhausted_retries_degrade_with_warning(model):
     masks = _random_masks(6, 32, seed=59)
     reference = ModelExecutor(model).run_batch(masks[:, None])
     with WorkerPoolExecutor(
-        model, num_workers=2, retry=RetryPolicy(max_retries=1, degrade=True),
+        model,
+        config=ExecutionConfig(num_workers=2, retry=RetryPolicy(max_retries=1, degrade=True)),
         fault_plan="raise@0:0x9",
     ) as executor:
         with pytest.warns(PoolDegradedWarning) as record:
@@ -282,7 +313,8 @@ def test_exhausted_retries_degrade_with_warning(model):
 def test_exhausted_retries_raise_structured_error_when_degrade_off(model):
     masks = _random_masks(5, 32, seed=61)
     with WorkerPoolExecutor(
-        model, num_workers=2, retry=RetryPolicy(max_retries=1, degrade=False),
+        model,
+        config=ExecutionConfig(num_workers=2, retry=RetryPolicy(max_retries=1, degrade=False)),
         fault_plan="raise@0:0x9;raise@0:1x9",
     ) as executor:
         with pytest.raises(WorkerPoolError) as excinfo:
@@ -307,7 +339,11 @@ def test_irrecoverable_pool_degrades_and_rebuilds(model):
     rebuilds a fresh one that serves normally."""
     masks = _random_masks(6, 32, seed=63)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(model, num_workers=2, fault_plan="kill@0:*x99") as executor:
+    with WorkerPoolExecutor(
+        model,
+        config=ExecutionConfig(num_workers=2),
+        fault_plan="kill@0:*x99",
+    ) as executor:
         with pytest.warns(PoolDegradedWarning):
             out = executor.run_batch(masks[:, None])
         np.testing.assert_array_equal(out, reference)
@@ -327,9 +363,13 @@ def test_irrecoverable_pool_degrades_and_rebuilds(model):
 # --------------------------------------------------------------------- #
 def test_pipeline_stats_report_per_run_deltas(model):
     masks = _random_masks(6, 32, seed=65)
-    reference = InferencePipeline(model, batch_size=6).predict(masks)
-    executor = WorkerPoolExecutor(model, num_workers=2, fault_plan="raise@0:0")
-    with InferencePipeline(executor, batch_size=6) as pooled:
+    reference = InferencePipeline(model, config=ExecutionConfig(batch_size=6)).predict(masks)
+    executor = WorkerPoolExecutor(
+        model,
+        config=ExecutionConfig(num_workers=2),
+        fault_plan="raise@0:0",
+    )
+    with InferencePipeline(executor, config=ExecutionConfig(batch_size=6)) as pooled:
         first = pooled.run(masks)
         np.testing.assert_array_equal(first.outputs[:, 0], reference)
         assert first.stats.chunks_retried == 1
@@ -346,7 +386,8 @@ def test_pipeline_stats_report_per_run_deltas(model):
 
 
 def test_serial_pipeline_stats_counters_stay_zero(model):
-    stats = InferencePipeline(model, batch_size=4).run(_random_masks(4, 32)).stats
+    pipeline = InferencePipeline(model, config=ExecutionConfig(batch_size=4))
+    stats = pipeline.run(_random_masks(4, 32)).stats
     assert stats.chunks_retried == 0
     assert stats.workers_respawned == 0
     assert stats.degraded_runs == 0
