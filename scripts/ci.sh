@@ -4,8 +4,9 @@
 # explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, per-call transport, intra-mask sharding — all bit-identical to
 # serial), the supervision chaos gate (deterministic fault injection: crash
-# detection, chunk retry, worker respawn, graceful degradation), and /dev/shm
-# leak checks after the chaos gate and at the end.
+# detection, chunk retry, worker respawn, graceful degradation), a short
+# fullchip-lt benchmark run as a pooled == serial correctness stage, and
+# /dev/shm leak checks after the chaos gate and at the end.
 # Runs with -p no:cacheprovider so repeated CI invocations on read-only or
 # shared checkouts never write .pytest_cache state.
 #
@@ -116,5 +117,13 @@ echo "== supervision chaos gate (fault injection: heal bit-identically or fail s
 "${PYTEST[@]}" \
     tests/pipeline/test_supervision.py "$@"
 check_shm_clean "after chaos gate"
+
+# The fullchip-lt benchmark workload as a correctness gate: stitched DOINN on
+# large and off-grid layouts through the 2-worker pool, every call checked
+# bit for bit against a serial reference (pooled == serial).  run.py exits
+# non-zero on any mismatch; its run record lands in the git-ignored
+# benchmarks/perfbench/records/.
+echo "== fullchip-lt correctness stage (pooled == serial on every call) =="
+python3 benchmarks/perfbench/run.py --workload fullchip-lt --seed 1 --seconds 2 --trace 0
 
 check_shm_clean "final"

@@ -38,7 +38,8 @@ BLAS thread capping: ``REPRO_BLAS_THREADS`` / ``ExecutionConfig.blas_threads``
 caps the BLAS pool via a ctypes shim (no ``threadpoolctl`` dependency), so
 ``workers x BLAS threads`` does not oversubscribe the machine.  The shim
 binds the OpenBLAS numpy itself links (under ``numpy.libs``); other copies
-mapped into the process, such as scipy's, are only a fallback.  Defaults
+mapped into the process, such as scipy's, are only a fallback, and binding
+one (or none) emits a :class:`BlasBindingWarning`.  Defaults
 (resolved by :meth:`repro.pipeline.ExecutionConfig.resolve`): 1 thread per
 pooled worker, leave-the-library-alone when serial.  Knob catalogue:
 ``docs/configuration.md``.
@@ -49,7 +50,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import os
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -68,6 +71,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FFT_MIN_KERNEL_AREA",
     "BackendWorkspace",
+    "BlasBindingWarning",
     "ComputeBackend",
     "available_backends",
     "fft_conv_transpose_bn_act",
@@ -209,19 +213,30 @@ _GET_SYMBOLS = (
 )
 
 
-def _openblas_paths() -> Iterator[str]:
-    """Candidate OpenBLAS shared-object paths, numpy's own library first.
+class BlasBindingWarning(UserWarning):
+    """The BLAS thread cap cannot reach the OpenBLAS numpy links.
 
-    A process can map several OpenBLAS copies: scipy ships its own under
-    ``scipy.libs`` and maps it first once :mod:`repro.litho` imports scipy.
-    Capping that copy leaves numpy's GEMMs on their full thread pool, so the
-    library under ``numpy.libs`` comes first; other mapped copies follow
-    only as a fallback for builds that link a system OpenBLAS.  Lazy, so
-    the usual case never scans ``/proc/self/maps``.
+    ``path`` names the library the shim bound instead (``None`` when no
+    OpenBLAS was found at all, so the cap is a no-op); ``reason`` says why.
+    A cap on another copy, such as scipy's, leaves numpy's GEMMs on their
+    full thread pool, so pooled workers oversubscribe the cores.
     """
+
+    def __init__(self, path: str | None, reason: str) -> None:
+        bound = "no library" if path is None else path
+        super().__init__(f"BLAS thread cap bound to {bound}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def _numpy_openblas_paths() -> list[str]:
+    """The OpenBLAS shared objects bundled under ``numpy.libs``."""
     numpy_libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(numpy_libs, "*openblas*"))):
-        yield os.path.realpath(path)
+    return [os.path.realpath(path) for path in sorted(glob.glob(os.path.join(numpy_libs, "*openblas*")))]
+
+
+def _mapped_openblas_paths() -> Iterator[str]:
+    """OpenBLAS shared objects mapped into this process, in mapping order."""
     try:
         with open("/proc/self/maps", "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
@@ -234,13 +249,35 @@ def _openblas_paths() -> Iterator[str]:
 
 @functools.lru_cache(maxsize=1)
 def _blas_library() -> ctypes.CDLL | None:
-    """The process's OpenBLAS handle, or None when no library was found."""
-    for path in _openblas_paths():
+    """The process's OpenBLAS handle, numpy's own library first.
+
+    A process can map several OpenBLAS copies: scipy ships its own under
+    ``scipy.libs`` and maps it first once :mod:`repro.litho` imports scipy.
+    Capping that copy leaves numpy's GEMMs on their full thread pool, so the
+    library under ``numpy.libs`` is bound when it loads.  Otherwise the first
+    mapped copy is bound (builds that link a system OpenBLAS), or none, and
+    a :class:`BlasBindingWarning` names the outcome.  ``/proc/self/maps`` is
+    only scanned on that fallback.
+    """
+    numpy_paths = _numpy_openblas_paths()
+    for path in itertools.chain(numpy_paths, _mapped_openblas_paths()):
         try:
-            return ctypes.CDLL(path)
+            lib = ctypes.CDLL(path)
         except OSError:  # pragma: no cover - unloadable candidate
             continue
-    return None  # pragma: no cover - non-OpenBLAS numpy builds
+        if path not in numpy_paths:
+            warnings.warn(
+                BlasBindingWarning(
+                    path, "no loadable OpenBLAS under numpy.libs; numpy's GEMMs may not use this copy"
+                ),
+                stacklevel=2,
+            )
+        return lib
+    warnings.warn(
+        BlasBindingWarning(None, "no OpenBLAS under numpy.libs or mapped into the process; the cap is a no-op"),
+        stacklevel=2,
+    )
+    return None
 
 
 def _find_symbol(lib: ctypes.CDLL, candidates: tuple[str, ...]):

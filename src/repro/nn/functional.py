@@ -12,6 +12,8 @@ patches are expressed as a :func:`numpy.lib.stride_tricks.sliding_window_view`
 over the (padded) input — a view, not a materialized ``(N, C*kh*kw, L)``
 patch matrix — and the contraction against the weights runs as one GEMM via
 ``np.tensordot``, whose internal packing of the view is the only copy made.
+The fused eval kernel :func:`conv_bn_act` packs the view in row blocks of at
+most :data:`PACK_BLOCK_BYTES`, so full-mask layers stay cache sized.
 The explicit ``im2col``/``col2im`` pair is kept for the adjoint passes and
 for callers that need the patch matrix itself.
 """
@@ -187,6 +189,24 @@ def conv2d(
 FUSED_ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh")
 
 
+#: Byte budget of one packed patch block in :func:`conv_bn_act`: about a
+#: per-core L2/L3 share, and below glibc's largest mmap threshold, so the
+#: pack buffer is reused from the heap instead of page-faulted in per call.
+PACK_BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def pack_block_rows(c_in: int, kh: int, kw: int, h_out: int, w_out: int, dtype) -> int:
+    """Output rows per packed block of :func:`conv_bn_act` for one layer geometry.
+
+    A row of output pixels packs ``C_in*kh*kw*W_out`` patch entries; as many
+    rows as fit in :data:`PACK_BLOCK_BYTES` (at least one, at most
+    ``h_out``) form one block.  Only the geometry and dtype enter, never the
+    batch size, which keeps the GEMM shapes partition invariant.
+    """
+    row_bytes = c_in * kh * kw * w_out * np.dtype(dtype).itemsize
+    return max(1, min(h_out, PACK_BLOCK_BYTES // row_bytes))
+
+
 def _check_fused_activation(activation: str, negative_slope: float) -> None:
     if activation not in FUSED_ACTIVATIONS:
         raise ValueError(f"unknown fused activation {activation!r}; expected one of {FUSED_ACTIVATIONS}")
@@ -224,9 +244,17 @@ def conv_bn_act(
 
     This is the eval-mode hot path compiled by :mod:`repro.nn.fusion`: the
     batch-norm affine is folded into ``weight``/``bias`` ahead of time, and the
-    activation is applied to each sample's GEMM output tile while it is still
-    cache resident — instead of three separate passes (conv, batch norm,
+    activation is applied to each GEMM output block while it is still cache
+    resident — instead of three separate passes (conv, batch norm,
     activation) over a working set that spills the per-core cache.
+
+    Each sample runs in **row blocks**: a block of output rows packs only its
+    own ``(C_in*kh*kw, rows*W_out)`` slice of the patch matrix, multiplies it
+    into the matching output columns, and applies bias and activation in
+    place.  ``rows`` (:func:`pack_block_rows`) keeps the pack within
+    :data:`PACK_BLOCK_BYTES` and depends on the layer geometry alone, so a
+    full-mask layer never packs its whole image at once, and serial, pooled
+    and any batch partitioning run identical GEMMs (bit-identical outputs).
 
     Operates on plain ndarrays (no autograd); training forwards keep using
     :func:`conv2d` / :func:`batch_norm2d` unchanged.
@@ -247,17 +275,18 @@ def conv_bn_act(
         chain's scratch cache); only the interior is written.
     gemm:
         Optional GEMM scratch (a fused chain's buffer cache).  On the
-        bordered per-sample path (``output_padding > 0``) it holds one
-        sample's ``(C_out, L)`` output tile; on the ``stacked`` path it
-        holds the whole batch's ``(N*L, C_out)`` result.  Fully rewritten
-        every call, no zero-border contract.
+        bordered per-sample path (``output_padding > 0``) it holds one row
+        block's ``(C_out, rows*W_out)`` output before the copy into the
+        bordered interior; on the ``stacked`` path it holds the whole
+        batch's ``(N*L, C_out)`` result.  Fully rewritten every call, no
+        zero-border contract.
     stacked:
         Stack every sample's patch matrix into one ``(N*L, C_in*kh*kw)``
-        GEMM (the threaded-BLAS backend lane) instead of one
-        cache-resident GEMM per sample.  Faster when BLAS is threaded, but
-        the GEMM shape now depends on ``N``, so results are only
-        tolerance-equivalent across batch partitionings — the per-sample
-        default stays the bit-identical reference.
+        GEMM (the threaded-BLAS backend lane) instead of the per-sample row
+        blocks.  Faster when BLAS is threaded, but the GEMM shape now
+        depends on ``N``, so results are only tolerance-equivalent across
+        batch partitionings — the per-sample default stays the
+        bit-identical reference.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -286,16 +315,16 @@ def conv_bn_act(
         )
     # The (C_out, C_in*kh*kw) weight matrix is a free view of the PyTorch
     # weight layout — no per-call weight pack (tensordot repacks it every
-    # call).  The patch pack below is the single remaining copy per sample.
+    # call).  The patch pack below is the single remaining copy per block.
     w_mat = weight.reshape(c_out, -1)
     bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
     length = h_out * w_out
+    k_len = c_in * kh * kw
     if stacked:
         # Threaded-BLAS lane: one (N*L, C_in*kh*kw) @ (C_in*kh*kw, C_out)
         # GEMM for the whole micro-batch, so a threaded BLAS has enough rows
         # to split across cores.  The transpose/reshape is the single patch
         # pack (same copy count as the per-sample loop, one bigger buffer).
-        k_len = c_in * kh * kw
         cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * length, k_len)
         if gemm is None:
             # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
@@ -313,36 +342,47 @@ def conv_bn_act(
             part.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
         )
         return out
+    # Row-blocked pack: each sample's (C_in*kh*kw, H_out*W_out) patch matrix
+    # is packed and multiplied a block of output rows at a time, so the pack
+    # stays within PACK_BLOCK_BYTES (cache-sized) instead of growing with the
+    # image -- a 32-channel 3x3 layer on a 448x256 mask would otherwise
+    # page-fault in a fresh ~264 MB pack per call.  The block size depends on
+    # the layer geometry only, so every batch partition (serial, pooled, any
+    # micro-batch) runs identical GEMMs and stays bit-identical.
+    rows = pack_block_rows(c_in, kh, kw, h_out, w_out, dtype)
     if output_padding:
         # The bordered path cannot GEMM straight into the output interior
-        # (the border makes the rows non-contiguous), so it lands in a
-        # (C_out, L) scratch first — cached by the fused chain, not a fresh
-        # allocation per sample per call.
+        # (the border makes the rows non-contiguous), so each block lands in
+        # a (C_out, rows*W_out) scratch first -- cached by the fused chain,
+        # not a fresh allocation per block per call.
+        block_shape = (c_out, rows * w_out)
         if gemm is None:
             # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-            gemm = np.empty((c_out, length), dtype=dtype)
-        elif gemm.shape != (c_out, length) or gemm.dtype != dtype:
+            gemm = np.empty(block_shape, dtype=dtype)
+        elif gemm.shape != block_shape or gemm.dtype != dtype:
             raise ValueError(
                 f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
-                f"expected {(c_out, length)} dtype {dtype}"
+                f"expected {block_shape} dtype {dtype}"
             )
     for i in range(n):
-        # (C_in*kh*kw, L) patch matrix; for 1x1 stride-1 kernels the
-        # transpose is trivial and reshape returns a zero-copy view.
-        cols = windows[i].transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, length)
-        if output_padding == 0:
-            # One GEMM per sample, written straight into the output buffer;
-            # bias/activation run in place on the cache-hot tile.
-            part = np.matmul(w_mat, cols, out=out[i].reshape(c_out, length))
-        else:
-            part = np.matmul(w_mat, cols, out=gemm)
-        if bias_col is not None:
-            part += bias_col
-        _apply_activation_inplace(part, activation, negative_slope)
-        if output_padding:
-            out[i, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out] = (
-                part.reshape(c_out, h_out, w_out)
-            )
+        flat = None if output_padding else out[i].reshape(c_out, length)
+        for r0 in range(0, h_out, rows):
+            r1 = min(r0 + rows, h_out)
+            span = (r1 - r0) * w_out
+            # (C_in*kh*kw, rows*W_out) patch block; for 1x1 stride-1 kernels
+            # the transpose is trivial and reshape returns a zero-copy view.
+            cols = windows[i, :, r0:r1].transpose(0, 3, 4, 1, 2).reshape(k_len, span)
+            # Borderless: GEMM straight into the block's output columns;
+            # bias/activation then run in place on the cache-hot block.
+            target = gemm[:, :span] if output_padding else flat[:, r0 * w_out : r1 * w_out]
+            part = np.matmul(w_mat, cols, out=target)
+            if bias_col is not None:
+                part += bias_col
+            _apply_activation_inplace(part, activation, negative_slope)
+            if output_padding:
+                out[i, :, output_padding + r0 : output_padding + r1, output_padding : output_padding + w_out] = (
+                    part.reshape(c_out, r1 - r0, w_out)
+                )
     return out
 
 

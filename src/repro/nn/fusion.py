@@ -9,8 +9,12 @@ that chain away:
 
 * :class:`FusedConvBNAct` — one fused op: a convolution whose weights/bias
   carry the folded eval-mode batch-norm affine, with the activation applied on
-  the GEMM output tile while it is cache resident
-  (:func:`repro.nn.functional.conv_bn_act`).
+  each GEMM output block while it is cache resident
+  (:func:`repro.nn.functional.conv_bn_act`).  Each sample is packed and
+  multiplied in blocks of output rows sized from the layer geometry alone
+  (:func:`repro.nn.functional.pack_block_rows`), so a full-mask layer packs
+  a few MB at a time rather than its whole patch matrix, and every batch
+  partition runs the same GEMMs.
 * :class:`FusedConvTranspose` — the transposed-conv mirror
   (:func:`repro.nn.functional.conv_transpose_bn_act`): one GEMM per sample
   against the precomputed ``(C_in, C_out*kh*kw)`` folded weight matrix plus a
@@ -21,7 +25,9 @@ that chain away:
   **pad-once buffer cache**: each op emits its result directly inside the zero
   border the *next* op's padding needs, so consecutive same-geometry convs in
   a VGG block consume one padded buffer instead of re-padding (and the scratch
-  buffers themselves are reused across calls of the same geometry).
+  buffers themselves are reused across calls of the same geometry).  A
+  bordered conv emission also keeps one row block's GEMM scratch there,
+  ``(C_out, rows*W_out)``, never a whole ``(C_out, H*W)`` sample.
 * :func:`compile_model` — walks a :class:`~repro.nn.layers.Module` tree
   (``Sequential`` runs, the DOINN/UNet/FNO/DAMO blocks, bare ``Conv2d`` /
   ``ConvTranspose2d`` layers, and the method-level chains models declare via
@@ -181,25 +187,27 @@ class FusedConvBNAct:
         return None
 
     def gemm_shape(
-        self, input_shape: tuple, output_padding: int, backend: ComputeBackend | None = None
+        self, input_shape: tuple, output_padding: int, dtype, backend: ComputeBackend | None = None
     ):
         """GEMM scratch this op needs from the chain's buffer cache.
 
         The stacked-BLAS lane lands the whole batch in one ``(N*L, C_out)``
         result; the bordered per-sample path (``output_padding > 0``) lands
-        each sample's ``(C_out, L)`` tile in scratch before the strided copy
-        into the zero-bordered output.  The borderless per-sample default
-        GEMMs straight into the output buffer and needs none.
+        one row block's ``(C_out, rows*W_out)`` output in scratch before the
+        strided copy into the zero-bordered output, with ``rows`` from
+        :func:`repro.nn.functional.pack_block_rows` (geometry and ``dtype``
+        only).  The borderless per-sample default GEMMs straight into the
+        output buffer and needs none.
         """
-        n, _, hp, wp = input_shape
+        n, c_in, hp, wp = input_shape
         kh, kw = self.kernel_size
         h_out = (hp - kh) // self.stride + 1
         w_out = (wp - kw) // self.stride + 1
-        length = h_out * w_out
         if backend is not None and backend.stacked_gemm:
-            return (n * length, self.out_channels)
+            return (n * h_out * w_out, self.out_channels)
         if output_padding:
-            return (self.out_channels, length)
+            rows = F.pack_block_rows(c_in, kh, kw, h_out, w_out, dtype)
+            return (self.out_channels, rows * w_out)
         return None
 
     def apply(
@@ -367,7 +375,7 @@ class FusedConvTranspose:
         return (c_out, h_out + 2 * self.padding, w_out + 2 * self.padding)
 
     def gemm_shape(
-        self, input_shape: tuple, output_padding: int, backend: ComputeBackend | None = None
+        self, input_shape: tuple, output_padding: int, dtype, backend: ComputeBackend | None = None
     ):
         """Transposed convs GEMM against the flattened input — no scratch."""
         return None
@@ -580,7 +588,7 @@ class FusedChain:
                 if scratch_shape is not None
                 else None
             )
-            gemm_shape = op.gemm_shape(buf.shape, out_pad, backend=backend)
+            gemm_shape = op.gemm_shape(buf.shape, out_pad, dtype, backend=backend)
             gemm = (
                 self._gemm_buffer(index, gemm_shape, dtype)
                 if gemm_shape is not None

@@ -10,6 +10,7 @@ model is left bit-for-bit untouched by compilation.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -738,10 +739,13 @@ def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng):
     x = rng.standard_normal((3, 2, 8, 8))
     w = rng.standard_normal((4, 2, 3, 3))
     plain = F.conv_bn_act(x, w, None, stride=1, padding=1)
-    gemm = np.full((4, 64), np.nan)
+    # The buffer is one row block; this small geometry fits in one block.
+    rows = F.pack_block_rows(2, 3, 3, 8, 8, x.dtype)
+    assert rows == 8
+    gemm = np.full((4, rows * 8), np.nan)
     padded = F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=gemm)
     np.testing.assert_array_equal(padded[:, :, 1:-1, 1:-1], plain)
-    # The buffer holds the last sample's activated tile: it was the GEMM target.
+    # The buffer holds the last sample's activated block: it was the GEMM target.
     np.testing.assert_array_equal(gemm.reshape(4, 8, 8), plain[-1])
     with pytest.raises(ValueError, match="gemm buffer"):
         F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=np.zeros((3, 64)))
@@ -780,6 +784,70 @@ def test_fused_chain_scratch_eviction_is_lru(rng):
     assert len(chain._scratch) <= chain.MAX_CACHED_BUFFERS
     survivors = {key: id(buf) for key, buf in chain._scratch.items() if key in hot_ids}
     assert survivors == hot_ids, "hot-geometry buffers were evicted (or re-allocated)"
+
+
+# --------------------------------------------------------------------- #
+# Row-blocked patch packing: the per-sample GEMM runs in blocks of output
+# rows sized from the layer geometry alone
+# --------------------------------------------------------------------- #
+# (stride, input height, input width): 32 -> 16 channels, 3x3, padding 1, so
+# every case has h_out == 30 and w_out == 256 -- several row blocks plus a
+# remainder in both lanes (7 rows per float64 block, 14 per float32 block).
+_BLOCKED_GEOMETRIES = [(1, 30, 256), (2, 60, 512)]
+
+
+@pytest.mark.parametrize("lane", ["float64", "float32"])
+@pytest.mark.parametrize("output_padding", [0, 1])
+@pytest.mark.parametrize("stride,height,width", _BLOCKED_GEOMETRIES)
+def test_conv_bn_act_row_blocks_match_unfused(rng, lane, output_padding, stride, height, width):
+    dtype = get_backend(lane).dtype
+    x = rng.standard_normal((3, 32, height, width))
+    conv = Conv2d(32, 16, 3, stride=stride, padding=1, rng=rng)
+    bn = BatchNorm2d(16)
+    _randomize_bn(bn, rng)
+    act = LeakyReLU(0.2)
+    op = FusedConvBNAct.from_modules(conv, bn, act)
+
+    def fused(batch):
+        return F.conv_bn_act(
+            batch.astype(dtype), op.weight.astype(dtype), op.bias.astype(dtype),
+            stride=stride, padding=1, activation=op.activation,
+            negative_slope=op.negative_slope, output_padding=output_padding,
+        )
+
+    whole = fused(x)
+    h_out, w_out = whole.shape[2] - 2 * output_padding, whole.shape[3] - 2 * output_padding
+    rows = F.pack_block_rows(32, 3, 3, h_out, w_out, dtype)
+    assert h_out // rows >= 2 and h_out % rows != 0, "geometry must span blocks plus a remainder"
+    assert whole.dtype == dtype
+    # Bit-identical however the batch is split: the blocks never depend on N.
+    np.testing.assert_array_equal(whole, np.concatenate([fused(x[:1]), fused(x[1:])]))
+    if output_padding:
+        assert not whole[:, :, 0].any() and not whole[:, :, -1].any()
+        assert not whole[:, :, :, 0].any() and not whole[:, :, :, -1].any()
+        whole = whole[:, :, 1:-1, 1:-1]
+    with eval_mode(bn), no_grad():
+        ref = act(bn(F.conv2d(Tensor(x), conv.weight, conv.bias, stride=stride, padding=1))).numpy()
+    tol = TOL if lane == "float64" else dict(rtol=0, atol=2.0e-5)
+    np.testing.assert_allclose(whole, ref, **tol)
+
+
+def test_conv_bn_act_pack_stays_within_one_block():
+    """A full-mask layer (32 -> 16 channels, 3x3, 448x256 output) packs one
+    row block at a time: the traced peak is the ~15 MB output plus at most
+    two ~4 MB blocks (the next block is packed before the last one is
+    released), where packing the whole ``(288, 114688)`` patch matrix at
+    once traces ~264 MB."""
+    x = np.random.default_rng(0).standard_normal((1, 32, 450, 258))  # pre-padded 448x256
+    w = np.random.default_rng(1).standard_normal((16, 32, 3, 3))
+    tracemalloc.start()
+    try:
+        out = F.conv_bn_act(x, w, None, padding=1, input_is_padded=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 16, 448, 256)
+    assert peak < 32 * 1024 * 1024, f"conv_bn_act traced a {peak / 2**20:.0f} MiB peak"
 
 
 # --------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,38 @@ def test_blas_shim_binds_numpys_openblas():
     lib = backends._blas_library()
     assert lib is not None
     assert os.path.dirname(os.path.realpath(lib._name)) == _NUMPY_LIBS
+
+
+@needs_numpy_openblas
+def test_blas_shim_binds_numpys_openblas_without_warning():
+    import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS copy too
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lib = backends._blas_library.__wrapped__()  # uncached: a fresh binding
+    assert os.path.dirname(os.path.realpath(lib._name)) == _NUMPY_LIBS
+
+
+def test_blas_shim_warns_when_binding_another_copy(monkeypatch):
+    import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS copy too
+
+    monkeypatch.setattr(backends, "_numpy_openblas_paths", lambda: [])
+    with pytest.warns(backends.BlasBindingWarning) as record:
+        lib = backends._blas_library.__wrapped__()
+    assert len(record) == 1
+    warning = record[0].message
+    assert warning.path == (None if lib is None else lib._name)
+    assert "numpy.libs" in warning.reason
+
+
+def test_blas_shim_warns_when_no_openblas_is_found(monkeypatch):
+    monkeypatch.setattr(backends, "_numpy_openblas_paths", lambda: [])
+    monkeypatch.setattr(backends, "_mapped_openblas_paths", lambda: iter(()))
+    with pytest.warns(backends.BlasBindingWarning) as record:
+        assert backends._blas_library.__wrapped__() is None
+    assert len(record) == 1
+    assert record[0].message.path is None
+    assert "no-op" in record[0].message.reason
 
 
 def _resolved_blas_threads(blas_threads=None, num_workers=0) -> int:

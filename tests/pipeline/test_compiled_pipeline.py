@@ -15,6 +15,7 @@ import pytest
 
 from repro.litho import LithoSimulator
 from repro.nn import FusedInferenceGraph, compile_model
+from repro.nn import functional as F
 from repro.nn.backends import resolve_backend
 from repro.pipeline import (
     ExecutionConfig,
@@ -202,6 +203,31 @@ def test_compiled_stitched_worker_pool_bit_identical(model):
         np.testing.assert_array_equal(
             parallel.predict(masks, stitch=True), serial.predict(masks, stitch=True)
         )
+
+
+def test_compiled_stitched_worker_pool_bit_identical_across_row_blocks(model):
+    """Full-mask reconstruction packs its convs in row blocks: on a 320x192
+    mask every refine-tail conv spans several blocks plus a remainder, and
+    the pooled run is still bit-identical to serial.  The chain's bordered
+    GEMM scratch is one ``(C_out, rows*W)`` block, never ``(C_out, H*W)``."""
+    height, width = 320, 192
+    masks = (np.random.default_rng(9).random((2, height, width)) > 0.8).astype(float)
+    base = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    serial = InferencePipeline(model, config=base)
+    reference = serial.predict(masks, stitch=True)
+    with InferencePipeline(model, config=base.merged(num_workers=2)) as parallel:
+        np.testing.assert_array_equal(parallel.predict(masks, stitch=True), reference)
+
+    (tail,) = [c for c in serial.executor.model.chains if c.label.endswith("_refine_tail")]
+    gemm = {key[1]: (key[2], np.dtype(key[3])) for key in tail._scratch if key[0] == "gemm"}
+    # Every op but the last emits into a bordered buffer, so it uses scratch.
+    assert sorted(gemm) == list(range(len(tail.ops) - 1))
+    for index, (shape, dtype) in gemm.items():
+        op = tail.ops[index]
+        c_in, kh, kw = op.weight.shape[1:]
+        rows = F.pack_block_rows(c_in, kh, kw, height, width, dtype)
+        assert shape == (op.out_channels, rows * width)
+        assert rows < height and height % rows, f"refine-tail op {index}: no block remainder"
 
 
 # --------------------------------------------------------------------- #
