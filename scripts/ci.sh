@@ -4,9 +4,10 @@
 # explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, per-call transport, intra-mask sharding — all bit-identical to
 # serial), the supervision chaos gate (deterministic fault injection: crash
-# detection, chunk retry, worker respawn, graceful degradation), a short
-# fullchip-lt benchmark run as a pooled == serial correctness stage, and
-# /dev/shm leak checks after the chaos gate and at the end.
+# detection, chunk retry, worker respawn, graceful degradation), short
+# fullchip-lt and opc-incremental benchmark runs as pooled == serial and
+# patched == full correctness stages, and /dev/shm leak checks after the
+# chaos gate and at the end.
 # Runs with -p no:cacheprovider so repeated CI invocations on read-only or
 # shared checkouts never write .pytest_cache state.
 #
@@ -125,5 +126,13 @@ check_shm_clean "after chaos gate"
 # benchmarks/perfbench/records/.
 echo "== fullchip-lt correctness stage (pooled == serial on every call) =="
 python3 benchmarks/perfbench/run.py --workload fullchip-lt --seed 1 --seconds 2 --trace 0
+
+# The opc-incremental workload as a correctness gate: 24-iteration
+# incremental OPC through the golden simulator, checked bit for bit against
+# a full re-simulation reference (patched == full), and every repeated
+# correction of a layout must reproduce its first mask.  run.py exits
+# non-zero on any mismatch.
+echo "== opc-incremental correctness stage (patched == full, repeated masks identical) =="
+python3 benchmarks/perfbench/run.py --workload opc-incremental --seed 1 --seconds 2 --trace 0
 
 check_shm_clean "final"

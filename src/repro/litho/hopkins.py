@@ -12,8 +12,12 @@ stack of masks ``(N, H, W)``, computes **one** zero-padded FFT per mask and
 reuses it across every SOCS kernel.  The kernels' frequency-domain transfer
 functions are precomputed once per FFT shape and cached on
 :class:`~repro.litho.kernels.SOCSKernels`, so simulating a stream of same-size
-masks (the inference-pipeline hot path) costs ``1 + l`` transforms per mask
-instead of the ``3 * l`` a per-kernel ``fftconvolve`` loop pays.
+masks (the inference-pipeline hot path) costs ``1 + ceil(l' / 2)`` transforms
+per mask instead of the ``3 * l`` a per-kernel ``fftconvolve`` loop pays:
+the cached stack packs the ``l'`` non-negligible real and imaginary parts of
+the weighted kernels two to a complex transform, and since the mask is real
+one inverse FFT yields both parts' fields (``l' = l`` for in-focus kernels,
+which are real or imaginary; ``2 l`` when defocus makes them complex).
 
 :func:`aerial_image_loop` retains the seed per-kernel ``fftconvolve``
 algorithm; it is the reference the batched path is validated against (within
@@ -99,17 +103,18 @@ def _aerial_batch(
     """Unnormalized aerial intensity of a mask batch ``(N, H, W)``.
 
     One padded FFT per mask, multiplied against the cached ``sqrt(alpha_k)``-
-    weighted kernel transfer functions, so the SOCS sum is a plain
-    ``sum_k |field_k|^2``; the crop offset ``(K - 1) // 2`` reproduces
-    ``fftconvolve``'s ``mode="same"`` centring exactly, so the result matches
-    the per-kernel loop to floating-point round-off.  With a ``workspace`` the
+    weighted, pair-packed kernel transfer functions, so the SOCS sum is a
+    plain ``sum_j |field_j|^2`` (exact because the masks are real); the crop
+    offset ``(K - 1) // 2`` reproduces ``fftconvolve``'s ``mode="same"``
+    centring exactly, so the result matches the per-kernel loop to
+    floating-point round-off.  With a ``workspace`` the
     chunked field product and magnitude scratch are written into preallocated
     buffers instead of being reallocated per chunk and per call.
     """
     n, h, w = masks.shape
     support = kernels.support
     fft_shape = (next_fast_len(h + support - 1), next_fast_len(w + support - 1))
-    weighted = kernels.weighted_transfer_functions(fft_shape)    # (l+, Fh, Fw)
+    weighted = kernels.weighted_transfer_functions(fft_shape)    # (ceil(l'/2), Fh, Fw)
 
     intensity = np.zeros((n, h, w), dtype=np.float64)
     if weighted.shape[0] == 0:

@@ -22,6 +22,11 @@ from .optics import OpticalSettings, pupil_function, source_points
 
 __all__ = ["SOCSKernels", "compute_tcc_matrix", "generate_kernels"]
 
+#: Relative L2 norm (against its kernel's norm) below which the real or the
+#: imaginary part of a weighted SOCS kernel is dropped before pairing; a
+#: dropped part changes the intensity by about its square, ~1e-24 relative.
+_PART_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class SOCSKernels:
@@ -46,6 +51,12 @@ class SOCSKernels:
     normalization.  The cache is keyed by FFT shape, so simulating many masks
     of the same size — the common case in the inference pipeline — pays the
     kernel FFTs exactly once.
+
+    The transfer functions pack the real and imaginary parts of the weighted
+    kernels two to a complex transform (:meth:`weighted_transfer_functions`):
+    one inverse FFT then yields two real coherent fields.  That is exact
+    because masks are real transmission images, and it halves the inverse
+    FFTs per mask for in-focus kernels, which are real or imaginary.
     """
 
     kernels: np.ndarray
@@ -75,25 +86,45 @@ class SOCSKernels:
 
     # -- memoized derived quantities ----------------------------------- #
     def weighted_transfer_functions(self, fft_shape: tuple[int, int]) -> np.ndarray:
-        """Frequency-domain kernels ``fft2(h_k)`` zero-padded to ``fft_shape``
-        and pre-scaled by ``sqrt(alpha_k)``.
+        """Frequency-domain SOCS kernels pre-scaled by ``sqrt(alpha_k)``,
+        packed two real parts per transform and zero-padded to ``fft_shape``.
 
         These are the SOCS transfer functions reused across every mask in a
         batch by :func:`repro.litho.hopkins.aerial_image`: the mask is FFT'd
         once and multiplied against this stack instead of running one
         ``fftconvolve`` per kernel.  With the eigenvalue folded into the
-        transfer function the SOCS sum reduces to a plain
-        ``sum_k |field_k|^2`` — the aerial-image hot loop skips the
-        per-kernel eigenvalue weighting entirely.  Kernels with non-positive
-        eigenvalues contribute nothing and are dropped here, so the returned
-        stack may be shorter than :attr:`count`.
+        kernels the SOCS sum reduces to a plain ``sum_j |field_j|^2`` — the
+        aerial-image hot loop skips the per-kernel eigenvalue weighting
+        entirely.  Kernels with non-positive eigenvalues contribute nothing
+        and are dropped.
+
+        **Pairing.**  Each weighted kernel ``sqrt(alpha_k) h_k`` is split into
+        its real and imaginary parts; a part whose L2 norm is below
+        ``_PART_TOLERANCE`` of its kernel's norm is dropped (its share of the
+        intensity is ~``_PART_TOLERANCE**2`` relative), and the remaining
+        ``l'`` real parts are packed in pairs as ``a + i b``, an odd last
+        part paired with zero.  This is exact only because masks are
+        **real**: ``(a + i b) (x) M = (a (x) M) + i (b (x) M)`` with both
+        convolutions real, so one inverse FFT yields ``|.|^2 = (a (x) M)^2 +
+        (b (x) M)^2`` and the packed sum reproduces ``sum_k alpha_k |h_k (x)
+        M|^2``.  The stack has ``ceil(l' / 2)`` entries: in-focus kernels
+        are real-even or imaginary-odd, so ``l`` of them pack into
+        ``ceil(l / 2)``; defocused kernels are truly complex and keep ``l``.
         """
         key = ("wtf", int(fft_shape[0]), int(fft_shape[1]))
         if key not in self._cache:
             active = np.flatnonzero(self.eigenvalues > 0.0)
-            weighted = scipy.fft.fft2(self.kernels[active], s=tuple(fft_shape), axes=(-2, -1))
-            weighted *= np.sqrt(self.eigenvalues[active])[:, None, None]
-            self._cache[key] = weighted
+            weighted = self.kernels[active] * np.sqrt(self.eigenvalues[active])[:, None, None]
+            parts = []
+            for kernel in weighted:
+                floor = _PART_TOLERANCE * np.linalg.norm(kernel)
+                parts.extend(p for p in (kernel.real, kernel.imag) if np.linalg.norm(p) > floor)
+            if len(parts) % 2:
+                parts.append(np.zeros_like(parts[-1]))
+            pairs = np.asarray(parts).reshape(-1, 2, self.support, self.support)
+            self._cache[key] = scipy.fft.fft2(
+                pairs[:, 0] + 1j * pairs[:, 1], s=tuple(fft_shape), axes=(-2, -1)
+            )
         return self._cache[key]
 
     def clear_field_intensity(self) -> float:

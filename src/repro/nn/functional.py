@@ -305,7 +305,7 @@ def conv_bn_act(
     oh, ow = h_out + 2 * output_padding, w_out + 2 * output_padding
     dtype = np.result_type(windows, weight)
     if out is None:
-        # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
+        # repro: ok(ALLOC001, the chain's returned output: FusedChain passes its last op out=None since callers hold it)
         alloc = np.zeros if output_padding else np.empty
         out = alloc((n, c_out, oh, ow), dtype=dtype)
     elif out.shape != (n, c_out, oh, ow) or out.dtype != dtype:
@@ -496,7 +496,7 @@ def conv_transpose_bn_act(
     oh, ow = h_out + 2 * output_padding, w_out + 2 * output_padding
     dtype = np.result_type(x, weight)
     if out is None:
-        # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
+        # repro: ok(ALLOC001, the chain's returned output: FusedChain passes its last op out=None since callers hold it)
         alloc = np.zeros if output_padding else np.empty
         out = alloc((n, c_out, oh, ow), dtype=dtype)
     elif out.shape != (n, c_out, oh, ow) or out.dtype != dtype:

@@ -298,15 +298,17 @@ class OPCEngine:
                     # which would overshoot and oscillate with a binary resist.
                     step = 1.0
                 else:
-                    step = float(np.clip(-config.gain * epe, -config.max_step, config.max_step))
+                    step = float(min(max(-config.gain * epe, -config.max_step), config.max_step))
                 # Damp oscillation: if the correction reversed direction since
                 # the previous iteration, take only half a step.
                 if step * fragment.last_step < 0.0:
                     step *= 0.5
                 fragment.last_step = step
                 previous_pixels = int(round(fragment.offset))
+                # Builtin min/max, not scalar np.clip (~10x slower per call);
+                # same result for finite values and for NaN.
                 fragment.offset = float(
-                    np.clip(fragment.offset + step, -config.max_offset, config.max_offset)
+                    min(max(fragment.offset + step, -config.max_offset), config.max_offset)
                 )
                 if int(round(fragment.offset)) != previous_pixels:
                     moved.append((si, fi))

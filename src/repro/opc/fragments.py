@@ -10,6 +10,7 @@ training data (MOSAIC, Calibre).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,7 @@ def fragment_footprint(
     per fragment — offsets move the painted strip only *within* this bound,
     which is what makes the fragment->tile index buildable once per OPC run.
     """
-    reach = int(np.ceil(max_offset)) + 1
+    reach = math.ceil(max_offset) + 1
     lo, hi = fragment.span
     if fragment.side in (LEFT, RIGHT):
         return (lo, fragment.position - reach, hi, fragment.position + reach + 1)
@@ -139,6 +140,11 @@ class FragmentTileIndex:
     footprint is painted identically by :func:`build_mask`, so windows
     outside the union cannot have changed.  The engine still content-hashes
     the candidates, so an over-approximation costs hashing, never correctness.
+
+    ``specs`` is the row-major half-overlapping grid of
+    :func:`~repro.layout.tiling.tile_grid` (stride ``size // 2``), so the
+    windows a footprint meets are a row range times a column range computed
+    arithmetically, not by scanning every spec per fragment.
     """
 
     def __init__(
@@ -149,15 +155,24 @@ class FragmentTileIndex:
         max_offset: float,
     ) -> None:
         self._tiles: dict[tuple[int, int], tuple[int, ...]] = {}
+        size = specs[0].size
+        stride = size // 2
+        n_rows, n_cols = specs[-1].row + 1, specs[-1].col + 1
+        if len(specs) != n_rows * n_cols:
+            raise ValueError("FragmentTileIndex needs the full row-major tile_grid")
+
+        def window_range(lo: int, hi: int, count: int) -> range:
+            # Windows k with k*stride < hi and k*stride + size > lo.
+            return range(max((lo - size) // stride + 1, 0), min((hi - 1) // stride + 1, count))
+
         for si, shape in enumerate(shapes):
             for fi, fragment in enumerate(shape.fragments):
                 row0, col0, row1, col1 = fragment_footprint(fragment, max_offset)
                 row0, col0 = max(row0, 0), max(col0, 0)
                 row1, col1 = min(row1, image_size), min(col1, image_size)
+                cols = window_range(col0, col1, n_cols)
                 self._tiles[(si, fi)] = tuple(
-                    ti
-                    for ti, s in enumerate(specs)
-                    if row0 < s.y0 + s.size and row1 > s.y0 and col0 < s.x0 + s.size and col1 > s.x0
+                    r * n_cols + c for r in window_range(row0, row1, n_rows) for c in cols
                 )
 
     def tiles_for(self, moved: list[tuple[int, int]]) -> list[int]:

@@ -10,11 +10,47 @@ synthetic datasets exercise the same mask content.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from ..layout.geometry import Layout, Rect
 
 __all__ = ["insert_srafs", "sraf_rects_pixels"]
+
+#: Edge length (nm) of the uniform grid buckets the clearance check indexes
+#: shapes and accepted bars by: a few via pitches, so a query touches a
+#: handful of buckets holding a handful of rectangles each.
+_GRID_CELL_NM = 256.0
+
+
+class _RectGrid:
+    """Uniform grid bucket index of rectangles for intersection queries.
+
+    Every rectangle is filed under each cell its closed extent touches.  Two
+    intersecting rectangles share an interior point, whose cell lies in both
+    extents, so :meth:`intersects_any` scans a superset of the intersecting
+    rectangles and returns exactly what an all-pairs scan would.
+    """
+
+    def __init__(self, rects=()) -> None:
+        self._cells: dict[tuple[int, int], list[Rect]] = {}
+        for rect in rects:
+            self.add(rect)
+
+    @staticmethod
+    def _cells_of(rect: Rect):
+        cx0, cx1 = math.floor(rect.x0 / _GRID_CELL_NM), math.floor(rect.x1 / _GRID_CELL_NM)
+        cy0, cy1 = math.floor(rect.y0 / _GRID_CELL_NM), math.floor(rect.y1 / _GRID_CELL_NM)
+        return [(cx, cy) for cx in range(cx0, cx1 + 1) for cy in range(cy0, cy1 + 1)]
+
+    def add(self, rect: Rect) -> None:
+        for cell in self._cells_of(rect):
+            self._cells.setdefault(cell, []).append(rect)
+
+    def intersects_any(self, rect: Rect) -> bool:
+        for cell in self._cells_of(rect):
+            if any(rect.intersects(other) for other in self._cells.get(cell, ())):
+                return True
+        return False
 
 
 def insert_srafs(
@@ -29,8 +65,12 @@ def insert_srafs(
     A bar is placed parallel to each edge of each shape at ``sraf_distance``
     from the edge, provided the bar does not come closer than
     ``min_clearance`` to any other shape and stays inside the layout bounds.
+    Bars are also kept ``min_clearance`` apart from each other; the check
+    runs against a grid bucket index of the shapes and accepted bars, so it
+    costs per candidate what the neighbourhood holds, not the whole layout.
     """
     srafs: list[Rect] = []
+    occupied = _RectGrid(layout.shapes)
     for rect in layout.shapes:
         length_x = rect.width - 2.0 * sraf_length_margin
         length_y = rect.height - 2.0 * sraf_length_margin
@@ -49,12 +89,10 @@ def insert_srafs(
         for candidate in candidates:
             if not layout.bounds.contains_rect(candidate):
                 continue
-            grown = candidate.expanded(min_clearance)
-            if any(grown.intersects(other) for other in layout.shapes):
-                continue
-            if any(grown.intersects(existing) for existing in srafs):
+            if occupied.intersects_any(candidate.expanded(min_clearance)):
                 continue
             srafs.append(candidate)
+            occupied.add(candidate)
     return srafs
 
 

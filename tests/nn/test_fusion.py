@@ -286,6 +286,35 @@ def test_fused_chain_scratch_buffers_are_reused(rng):
     assert first is not second  # the caller-facing output is always fresh
 
 
+def test_fused_chain_allocates_only_its_output(rng):
+    """Steady state: each repeated chain call leaves exactly one fresh array
+    allocated, the returned output, and its traced peak is that output plus
+    one transient patch-pack block -- every intermediate activation reuses
+    the chain's cached buffers (a fresh 2 MiB intermediate would break the
+    peak bound)."""
+    block = VGGBlock(16, 16, rng=rng)
+    chain = build_chain(block.fusible_chain())
+    x = rng.standard_normal((4, 16, 64, 64))
+    chain.run(x)  # warm the scratch cache
+    outputs, kept, peaks = [], [], []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            outputs.append(chain.run(x))
+            current, peak = tracemalloc.get_traced_memory()
+            kept.append(current - base)
+            peaks.append(peak - base)
+    finally:
+        tracemalloc.stop()
+    out_bytes = outputs[0].nbytes
+    assert out_bytes == 4 * 16 * 64 * 64 * 8  # 2 MiB
+    assert len({id(out) for out in outputs}) == 3
+    assert max(kept) <= out_bytes + 64 * 1024, f"calls kept {kept} B, output is {out_bytes} B"
+    assert max(peaks) <= out_bytes + 1.25 * F.PACK_BLOCK_BYTES, f"call peaks {peaks} B"
+
+
 def test_fused_chain_scratch_cache_is_bounded(rng):
     """Many distinct geometries cannot grow the buffer cache without bound."""
     block = VGGBlock(2, 3, rng=rng)

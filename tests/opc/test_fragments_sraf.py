@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout import Layout, Rect
+from repro.layout import Layout, Rect, generate_layout, rules_for
 from repro.opc import build_mask, fragment_layout, insert_srafs, sraf_rects_pixels
 from repro.opc.fragments import _fragment_spans
 
@@ -135,6 +135,45 @@ def test_srafs_do_not_overlap_each_other():
     for i, a in enumerate(srafs):
         for b in srafs[i + 1 :]:
             assert not a.intersects(b)
+
+
+def _insert_srafs_brute_force(layout, sraf_width=24.0, sraf_distance=90.0,
+                              sraf_length_margin=10.0, min_clearance=40.0):
+    """All-pairs reference: every candidate against every shape and bar."""
+    srafs = []
+    for rect in layout.shapes:
+        candidates = []
+        if rect.width - 2.0 * sraf_length_margin > sraf_width:
+            x0, x1 = rect.x0 + sraf_length_margin, rect.x1 - sraf_length_margin
+            candidates.append(Rect(x0, rect.y0 - sraf_distance - sraf_width, x1, rect.y0 - sraf_distance))
+            candidates.append(Rect(x0, rect.y1 + sraf_distance, x1, rect.y1 + sraf_distance + sraf_width))
+        if rect.height - 2.0 * sraf_length_margin > sraf_width:
+            y0, y1 = rect.y0 + sraf_length_margin, rect.y1 - sraf_length_margin
+            candidates.append(Rect(rect.x0 - sraf_distance - sraf_width, y0, rect.x0 - sraf_distance, y1))
+            candidates.append(Rect(rect.x1 + sraf_distance, y0, rect.x1 + sraf_distance + sraf_width, y1))
+        for candidate in candidates:
+            if not layout.bounds.contains_rect(candidate):
+                continue
+            grown = candidate.expanded(min_clearance)
+            if any(grown.intersects(other) for other in layout.shapes + srafs):
+                continue
+            srafs.append(candidate)
+    return srafs
+
+
+@pytest.mark.parametrize("family", ["iccad2013", "ispd2019"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_srafs_match_all_pairs_reference(family, seed):
+    """The grid-indexed clearance check accepts exactly the all-pairs bars,
+    in the same order, on dense random layouts of both benchmark families."""
+    rng = np.random.default_rng([seed, 4])
+    for tile_nm in (2048.0, 4096.0):
+        layout = generate_layout(rules_for(family), rng, tile_size=tile_nm, density_scale=1.44)
+        assert insert_srafs(layout) == _insert_srafs_brute_force(layout)
+    # Non-default distances and a clearance wider than a grid cell.
+    assert insert_srafs(layout, sraf_distance=60.0, min_clearance=300.0) == (
+        _insert_srafs_brute_force(layout, sraf_distance=60.0, min_clearance=300.0)
+    )
 
 
 def test_sraf_rects_pixels_rounding():

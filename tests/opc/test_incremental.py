@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout import ISPD2019_RULES, Layout, Rect, generate_via_layout
+from repro.layout import ISPD2019_RULES, Layout, Rect, generate_layout, generate_via_layout
 from repro.layout.tiling import tile_grid
 from repro.litho import LithoSimulator
 from repro.opc import (
@@ -194,6 +194,55 @@ def test_tile_index_candidates_cover_changed_pixels():
     # Every changed pixel lies inside a candidate window: windows outside the
     # candidate set are safe to trust as unchanged.
     assert np.all(covered[diff])
+
+
+def _tiles_brute_force(fragment, specs, image_size, max_offset):
+    """Reference scan: every spec tested against the clipped footprint."""
+    row0, col0, row1, col1 = fragment_footprint(fragment, max_offset)
+    row0, col0 = max(row0, 0), max(col0, 0)
+    row1, col1 = min(row1, image_size), min(col1, image_size)
+    return tuple(
+        ti
+        for ti, s in enumerate(specs)
+        if row0 < s.y0 + s.size and row1 > s.y0 and col0 < s.x0 + s.size and col1 > s.x0
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tile_size", [64, 128])
+def test_tile_index_matches_brute_force_scan(seed, tile_size):
+    """On the opc-incremental workload's 512 px via layouts the arithmetic
+    row/column window ranges equal a scan over every spec, per fragment."""
+    rng = np.random.default_rng([seed, 4])
+    layout = generate_layout(ISPD2019_RULES, rng, tile_size=4096.0, density_scale=1.44)
+    shapes = fragment_layout(layout, pixel_size=8.0)
+    specs = tile_grid((512, 512), tile_size)
+    index = FragmentTileIndex(shapes, specs, 512, max_offset=12.0)
+    for si, shape in enumerate(shapes):
+        for fi, fragment in enumerate(shape.fragments):
+            assert index.tiles_for([(si, fi)]) == list(
+                _tiles_brute_force(fragment, specs, 512, 12.0)
+            )
+
+
+@pytest.mark.parametrize("tile_size", [16, 32, 64])
+@pytest.mark.parametrize("max_offset", [0.0, 3.0, 12.0])
+def test_tile_index_matches_brute_force_at_window_edges(tile_size, max_offset):
+    """Footprints ending on, just before and just past every window edge
+    (rectangles at every pixel phase of the stride, some off the image)."""
+    rng = np.random.default_rng(tile_size)
+    layout = Layout(bounds=Rect(0, 0, 1024, 1024))
+    for _ in range(60):
+        row, col = (int(v) for v in rng.integers(-4, 132, size=2))
+        layout.add(Rect(8 * col, 8 * row, 8 * (col + int(rng.integers(1, 9))), 8 * (row + 3)))
+    shapes = fragment_layout(layout, pixel_size=8.0, max_fragment_length=4)
+    specs = tile_grid((128, 128), tile_size)
+    index = FragmentTileIndex(shapes, specs, 128, max_offset=max_offset)
+    for si, shape in enumerate(shapes):
+        for fi, fragment in enumerate(shape.fragments):
+            assert index.tiles_for([(si, fi)]) == list(
+                _tiles_brute_force(fragment, specs, 128, max_offset)
+            )
 
 
 def test_tile_index_empty_move_set():
